@@ -77,7 +77,7 @@ from .solver import (
     objective,
     unfold_solve,
 )
-from .svt import nuclear_norm, numerical_rank, soft_threshold, svt_full
+from .svt import nuclear_norm, numerical_rank, soft_threshold, svt_full, svt_gram
 from .transform import TransformKind, analyze, synthesize
 
 __version__ = "0.1.0"

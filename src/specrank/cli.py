@@ -3,9 +3,10 @@
 Subcommands: synth (make a scene and optionally its RGB rendering and
 operator), calibrate (estimate the operator from a paired RGB/cube),
 reconstruct (run the staged solver), svt-bench (time the subspace proximal
-against full SVT), and metrics (score a reconstruction).  Failures print a
-single machine-parseable line and exit 2 (usage), 3 (I/O), or 4 (numeric);
-output files are written atomically so failed runs leave nothing behind.
+and the Gram-matrix SVT against the full-SVD SVT), and metrics (score a
+reconstruction).  Failures print a single machine-parseable line and exit 2
+(usage), 3 (I/O), or 4 (numeric); output files are written atomically so
+failed runs leave nothing behind.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .forward_model import SpectralCube, apply_phi, estimate_phi_ls, make_phi
 from .lrsp import LrspConfig, LrspState, lrsp_apply
 from .metrics import MetricReport, delta_e00, metric_csv_lines, mse_map, psnr, sam, ssim
 from .solver import InitMode, SolverConfig, SolverMode, report_csv_lines, unfold_solve
-from .svt import svt_full
+from .svt import svt_full, svt_gram
 from .transform import TransformKind
 
 
@@ -83,7 +84,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eta", default="auto")
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--transform", choices=["identity", "dct"], default="identity")
-    p.add_argument("--exact", action="store_true", help="full-rank proximal, one ISTA step per stage")
+    p.add_argument("--exact", action="store_true", help="exact SVT proximal, one ISTA step per stage")
     p.add_argument("--rank", type=int)
     p.add_argument("--kappa", type=int)
     p.add_argument("--theta", type=float, default=0.1)
@@ -103,7 +104,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--mse-map", dest="mse_map")
     p.add_argument("--ref", help="ground-truth cube, required for --mse-map")
 
-    p = sub.add_parser("svt-bench", help="time the subspace proximal against full SVT")
+    p = sub.add_parser(
+        "svt-bench", help="time the subspace proximal and Gram SVT against full SVT"
+    )
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
@@ -199,6 +202,7 @@ def _cmd_svt_bench(args) -> int:
     # untimed warmup so BLAS setup does not land in the first row
     warm = np.random.default_rng(0).standard_normal((args.d, args.n))
     svt_full(warm, args.theta)
+    svt_gram(warm, args.theta)
     base_cfg = LrspConfig(
         r=args.r, kappa=kappa, theta=args.theta, probes=args.probes,
         inner_steps=args.inner_steps,
@@ -209,6 +213,9 @@ def _cmd_svt_bench(args) -> int:
         t0 = time.perf_counter_ns()
         ref = svt_full(a, args.theta)
         t_full = time.perf_counter_ns() - t0
+        t0 = time.perf_counter_ns()
+        gram = svt_gram(a, args.theta)
+        t_gram = time.perf_counter_ns() - t0
         cfg = LrspConfig(
             r=args.r, kappa=kappa, theta=args.theta, probes=args.probes,
             inner_steps=args.inner_steps, seed=seed,
@@ -216,9 +223,12 @@ def _cmd_svt_bench(args) -> int:
         t0 = time.perf_counter_ns()
         out, _, _ = lrsp_apply(a, cfg, LrspState(beta=cfg.beta1))
         t_lrsp = time.perf_counter_ns() - t0
-        rel = float(np.linalg.norm(out - ref) / np.linalg.norm(ref))
+        ref_norm = np.linalg.norm(ref)
+        rel_gram = float(np.linalg.norm(gram - ref) / ref_norm)
+        rel = float(np.linalg.norm(out - ref) / ref_norm)
         prefix = f"{seed},{args.d},{args.n},{args.r}"
         lines.append(f"full,{prefix},0,{t_full}")
+        lines.append(f"gram,{prefix},{format(rel_gram, '.17g')},{t_gram}")
         lines.append(f"lrsp,{prefix},{format(rel, '.17g')},{t_lrsp}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     return 0

@@ -36,11 +36,18 @@ _HEADER = struct.Struct("<4sIII")
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a uniquely named temp file in the same directory, then
+    rename it into place; on any failure the temp file is removed."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -75,7 +82,11 @@ def read_cube(path) -> SpectralCube:
             f"{path}: {len(raw) - expected} trailing bytes after the declared payload"
         )
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(float)
-    return SpectralCube(data.reshape(b, h * w), h, w)
+    try:
+        return SpectralCube(data.reshape(b, h * w), h, w)
+    except ValueError as e:
+        # the header checks above leave only the container's finiteness check
+        raise CubeFormatError(f"{path}: {e}") from e
 
 
 def write_rgb(path, img: RgbImage) -> None:

@@ -1,11 +1,11 @@
 """Unfolded proximal-gradient loop for RGB-to-spectral reconstruction.
 
 Each stage takes a physics-guided gradient step on the data term, moves to
-transform coordinates, applies the low-rank subspace proximal, and maps
-back.  In exact mode the proximal degenerates to full singular-value
-thresholding with threshold lambda * eta, making every stage one ISTA step
-on the composite objective; subspace mode runs the cheap operator from the
-configured budget.
+transform coordinates, applies a nuclear-norm proximal, and maps back.  In
+exact mode that proximal is singular-value thresholding with threshold
+lambda * eta, computed from the B x B Gram matrix (:func:`svt_gram`), so
+every stage is one ISTA step on the composite objective; subspace mode runs
+the budgeted operator of :mod:`specrank.lrsp` from the configured budget.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .forward_model import (
     apply_phi_adjoint,
     spectral_norm_sq,
 )
-from .lrsp import EXACT_GATE_BETA, LrspConfig, LrspDiagnostics, LrspState, lrsp_apply
-from .svt import nuclear_norm
+from .lrsp import LrspConfig, LrspDiagnostics, LrspState, lrsp_apply
+from .svt import nuclear_norm, svt_gram
 from .transform import TransformKind, analyze, synthesize
 
 
@@ -48,8 +48,7 @@ class SolverConfig:
 
     ``eta`` is "auto" (reciprocal of the squared spectral norm of phi), a
     single positive step size, or one per stage.  ``lrsp`` configures the
-    subspace proximal and may be omitted in exact mode, where rank and
-    budget are forced to full and the threshold to lambda * eta anyway.
+    subspace proximal; exact mode ignores it and may omit it.
     ``memory_mu`` is the decay of the cross-stage importance memory.
     """
 
@@ -168,25 +167,6 @@ def _resolve_eta(config: SolverConfig, op: ForwardOperator) -> tuple[float, ...]
     return tuple(config.eta)
 
 
-def _stage_lrsp_config(config: SolverConfig, d: int, n: int, eta: float) -> LrspConfig:
-    if config.mode is SolverMode.EXACT:
-        theta = config.lam * eta
-        if config.lrsp is None:
-            return LrspConfig(
-                r=d, kappa=n, theta=theta, inner_steps=1, c_beta=0.0, beta1=EXACT_GATE_BETA
-            )
-        return replace(
-            config.lrsp,
-            r=d,
-            kappa=n,
-            theta=theta,
-            inner_steps=1,
-            c_beta=0.0,
-            beta1=EXACT_GATE_BETA,
-        )
-    return config.lrsp
-
-
 def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     """Run the staged reconstruction; returns the final cube and its report.
 
@@ -198,9 +178,8 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     y = initialize(x, op, config.init)
     if y.bands != op.bands:
         raise DimensionError("initializer returned a cube with the wrong band count")
-    d, n = op.bands, x.pixels
-    beta0 = EXACT_GATE_BETA if config.mode is SolverMode.EXACT else config.lrsp.beta1
-    state = LrspState(beta=beta0, memory_g=None, mu=config.memory_mu)
+    exact = config.mode is SolverMode.EXACT
+    state = None if exact else LrspState(beta=config.lrsp.beta1, mu=config.memory_mu)
 
     objectives = []
     fidelities = []
@@ -213,7 +192,12 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
         eta_k = etas[k - 1]
         r_cube = gradient_step(y, op, x, eta_k)
         u = analyze(r_cube, config.transform)
-        out, state, diag = lrsp_apply(u, _stage_lrsp_config(config, d, n, eta_k), state)
+        if exact:
+            t_prox = time.perf_counter_ns()
+            out = svt_gram(u, config.lam * eta_k)
+            diag = LrspDiagnostics(steps=(), total_elapsed_ns=time.perf_counter_ns() - t_prox)
+        else:
+            out, state, diag = lrsp_apply(u, config.lrsp, state)
         if not np.all(np.isfinite(out)):
             raise NumericError(f"stage {k}: proximal output is not finite")
         y = synthesize(out, config.transform, x.h, x.w)

@@ -173,6 +173,19 @@ def test_io_errors_exit_3(tmp_path, capsys):
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_non_finite_cube_payload_exits_3(tmp_path, capsys):
+    cube_p, _, _ = _synth(tmp_path)
+    raw = bytearray(cube_p.read_bytes())
+    raw[16:20] = np.array([np.nan], dtype="<f4").tobytes()
+    bad = tmp_path / "nan.hsc"
+    bad.write_bytes(bytes(raw))
+    out_p = tmp_path / "m.csv"
+    assert run(["metrics", "--ref", str(cube_p), "--test", str(bad), "--out", str(out_p)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: io: {bad}: cube values must be finite\n"
+    assert not out_p.exists()
+
+
 def test_failed_run_leaves_no_output(tmp_path):
     _, rgb_p, _ = _synth(tmp_path)
     out_p = tmp_path / "recon.hsc"
@@ -219,13 +232,16 @@ def test_svt_bench_report_layout(tmp_path):
     assert code == 0
     lines = out_p.read_text().strip().splitlines()
     assert lines[0] == "method,seed,d,n,r,rel_err,elapsed_ns"
-    assert len(lines) == 1 + 2 * 3
+    assert len(lines) == 1 + 3 * 3
     for i, line in enumerate(lines[1:]):
         fields = line.split(",")
-        assert fields[0] == ("full" if i % 2 == 0 else "lrsp")
+        assert fields[0] == ("full", "gram", "lrsp")[i % 3]
+        assert int(fields[1]) == i // 3
         assert fields[2:5] == ["24", "48", "4"]
         rel = float(fields[5])
         assert np.isfinite(rel) and rel >= 0.0
         if fields[0] == "full":
             assert rel == 0.0
+        if fields[0] == "gram":
+            assert rel <= 1e-8
         assert int(fields[6]) > 0

@@ -7,6 +7,7 @@ import pytest
 from specrank.data_io import (
     CUBE_MAGIC,
     SceneSpec,
+    atomic_write_bytes,
     flat_illuminant,
     load_phi,
     read_cube,
@@ -52,6 +53,37 @@ def test_cube_roundtrip_is_bitwise(tmp_path):
     back = read_cube(p)
     assert back.dims == y.dims
     assert np.array_equal(back.data, y.data)
+
+
+def test_read_cube_rejects_non_finite_payload_as_format_error(tmp_path):
+    y = _f4_cube(2)
+    p = tmp_path / "a.hsc"
+    write_cube(p, y)
+    for bad in (np.nan, np.inf):
+        raw = bytearray(p.read_bytes())
+        raw[-4:] = np.array([bad], dtype="<f4").tobytes()
+        q = tmp_path / "bad.hsc"
+        q.write_bytes(bytes(raw))
+        with pytest.raises(CubeFormatError, match="must be finite"):
+            read_cube(q)
+
+
+def test_atomic_write_failure_leaves_directory_unchanged(tmp_path):
+    (tmp_path / "target").mkdir()
+    (tmp_path / "keep.txt").write_text("x")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(OSError):
+        atomic_write_bytes(tmp_path / "target", b"payload")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list((tmp_path / "target").iterdir()) == []
+
+
+def test_atomic_write_replaces_and_leaves_no_temp_file(tmp_path):
+    p = tmp_path / "out.bin"
+    p.write_bytes(b"old")
+    atomic_write_bytes(p, b"new")
+    assert p.read_bytes() == b"new"
+    assert [q.name for q in tmp_path.iterdir()] == ["out.bin"]
 
 
 def test_cube_file_bytes_are_reproducible(tmp_path):

@@ -130,7 +130,7 @@ def test_unfold_exact_mode_equals_hand_rolled_ista():
         lam=lam,
         init=InitMode.ZEROS,
         mode=SolverMode.EXACT,
-        lrsp=LrspConfig(r=2, kappa=4, theta=9.9),  # forced to full rank and budget anyway
+        lrsp=LrspConfig(r=2, kappa=4, theta=9.9),  # ignored in exact mode
     )
     y, report = unfold_solve(x, op, cfg)
     eta = report.eta[0]
@@ -138,6 +138,18 @@ def test_unfold_exact_mode_equals_hand_rolled_ista():
     for _ in range(5):
         z = svt_full(z - eta * op.phi.T @ (op.phi @ z - x.data), lam * eta)
     assert np.linalg.norm(y.data - z) <= 1e-8 * (np.linalg.norm(z) + 1.0)
+
+
+def test_unfold_exact_mode_never_runs_the_budgeted_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact mode called lrsp_apply")
+
+    monkeypatch.setattr("specrank.solver.lrsp_apply", refuse)
+    op, _, x = _problem(18)
+    cfg = SolverConfig(stages=4, lam=0.05, init=InitMode.ZEROS, mode=SolverMode.EXACT)
+    _, report = unfold_solve(x, op, cfg)
+    assert len(report.lrsp) == 4
+    assert all(d.steps == () and d.total_elapsed_ns > 0 for d in report.lrsp)
 
 
 def test_unfold_exact_mode_objective_descends():
