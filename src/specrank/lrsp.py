@@ -6,6 +6,14 @@ orthonormalize the weighted sketch, shrink in the r-dimensional coordinates,
 and fuse the inner proposals by their estimated projection residuals.  Every
 random element is drawn from seeded generators, so repeated calls with the
 same inputs are bitwise identical.
+
+The shrink of the r x n coordinates is :func:`specrank.svt.svt_gram` (an
+``eigh`` of their r x r Gram matrix, with a stated error bound and a LAPACK
+fall-back); :func:`specrank.svt.svt_full` stays the reference it is tested
+against.  The d x n matrix is not scanned for finiteness as a whole: each
+helper checks a quantity it computes anyway and that every NaN or Inf entry
+of the columns it reads reaches (column norms, scores, the probe product,
+the sketch, the Gram diagonal of the coordinates).
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ import scipy.linalg
 from scipy.special import expit
 
 from .errors import DegenerateSelectionError, DimensionError, NumericError
-from .svt import svt_full
+# svt_full is not called here; it stays a module attribute because
+# perfbench/tracing.py wraps specrank.lrsp.svt_full.
+from .svt import svt_full, svt_gram
 
 # Gate argument whose sigmoid rounds to exactly 1.0 in double precision while
 # keeping the state finite; used for the exactness regime.
@@ -199,9 +209,12 @@ def _as_matrix(u) -> np.ndarray:
     a = np.asarray(u, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"expected a d x n matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
     return a
+
+
+def _check_finite(x: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"matrix entries must be finite ({what} is not)")
 
 
 def column_importance(u, state: LrspState) -> np.ndarray:
@@ -210,9 +223,12 @@ def column_importance(u, state: LrspState) -> np.ndarray:
     The raw importance is the sigmoid of the standardized column l2 norm;
     when the state carries a memory vector it is blended in with decay
     ``state.mu`` (the blended vector is also what the memory update stores).
+    Raises ValueError when an entry is NaN or infinite (or a column norm
+    overflows).
     """
     a = _as_matrix(u)
     norms = np.linalg.norm(a, axis=0)
+    _check_finite(norms, "a column norm")
     z = (norms - norms.mean()) / (norms.std() + 1e-12)
     g = expit(z)
     if state.memory_g is not None:
@@ -239,15 +255,18 @@ def score_columns(u, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     p = rng.standard_normal((m, d))
     q = rng.standard_normal(m)
-    return q @ (p @ a)
+    scores = q @ (p @ a)
+    _check_finite(scores, "a score")
+    return scores
 
 
 def soft_topk(s, kappa: int, tau: float) -> np.ndarray:
     """Differentiable top-kappa weights over scores.
 
-    Scores are shifted by the (kappa+1)-th largest value (ties resolved
-    toward lower indices), scaled by the temperature, passed through a
-    softplus, and normalized to sum to 1.
+    Scores are shifted by the (kappa+1)-th largest value, scaled by the
+    temperature, passed through a softplus, and normalized to sum to 1.
+    The pivot is a value, so a linear-time partition finds it and ties
+    cannot change it.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
@@ -259,8 +278,7 @@ def soft_topk(s, kappa: int, tau: float) -> np.ndarray:
         raise ValueError(f"kappa must satisfy 1 <= kappa < {n}, got {kappa}")
     if not tau > 0.0:
         raise ValueError("tau must be > 0")
-    order = np.argsort(-s, kind="stable")
-    pivot = s[order[kappa]]
+    pivot = np.partition(s, n - 1 - kappa)[n - 1 - kappa]
     shifted = (s - pivot) / tau
     # softplus via logaddexp keeps large shifted scores from overflowing
     sp = np.logaddexp(0.0, shifted)
@@ -268,17 +286,30 @@ def soft_topk(s, kappa: int, tau: float) -> np.ndarray:
 
 
 def build_selector(g, w, kappa: int) -> Selector:
-    """Keep the kappa heaviest soft weights; scale each kept column by g * w."""
+    """Keep the kappa heaviest soft weights; scale each kept column by g * w.
+
+    Columns are ranked by descending weight, ties toward lower indices, so
+    the result equals that of a stable sort of ``-w``; only the kappa
+    candidates from a linear-time partition are sorted.
+    """
     g = np.asarray(g, dtype=float)
     w = np.asarray(w, dtype=float)
     if g.ndim != 1 or g.shape != w.shape:
         raise DimensionError("g and w must be 1-d and aligned")
-    if not 1 <= kappa <= w.size:
-        raise ValueError(f"kappa must satisfy 1 <= kappa <= {w.size}, got {kappa}")
+    n = w.size
+    if not 1 <= kappa <= n:
+        raise ValueError(f"kappa must satisfy 1 <= kappa <= {n}, got {kappa}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("column weights must be finite")
     if not np.any(w > 0.0):
         raise DegenerateSelectionError("all column weights are zero")
-    order = np.argsort(-w, kind="stable")
-    idx = order[:kappa]
+    top = np.argpartition(-w, kappa - 1)[:kappa]
+    # Entries tied with the kappa-th weight may straddle the cut; keep the
+    # lowest-indexed of them, as the stable sort does.
+    cut = w[top].min()
+    above = top[w[top] > cut]
+    cand = np.concatenate([above, np.flatnonzero(w == cut)[: kappa - above.size]])
+    idx = cand[np.lexsort((cand, -w[cand]))]
     return Selector(idx, g[idx] * w[idx])
 
 
@@ -287,7 +318,9 @@ def sparse_pool(u, omega: Selector) -> np.ndarray:
     a = _as_matrix(u)
     if omega.indices.max() >= a.shape[1]:
         raise DimensionError("selector indices exceed column count")
-    return a[:, omega.indices] @ omega.weights
+    pooled = a[:, omega.indices] @ omega.weights
+    _check_finite(pooled, "the pooled column")
+    return pooled
 
 
 def orthonormal_subspace(u, omega: Selector, r: int, seed=0) -> SubspaceBasis:
@@ -296,7 +329,9 @@ def orthonormal_subspace(u, omega: Selector, r: int, seed=0) -> SubspaceBasis:
     Column-pivoted QR of the d x kappa sketch supplies the leading
     directions; if the sketch's numerical rank falls short of ``r``, the
     remaining columns are seeded random vectors orthonormalized against the
-    computed ones, and the count of such fills is reported.
+    computed ones, and the count of such fills is reported.  A NaN or
+    infinite entry in a selected column fails the QR's finiteness check
+    with ValueError.
     """
     a = _as_matrix(u)
     d, n = a.shape
@@ -352,21 +387,20 @@ def residual_ratio(u, q, g, probes: int, seed, eps: float = 1e-12) -> float:
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((a.shape[1], probes))
     m = a @ (g[:, None] * xi)
+    _check_finite(m, "the probe product")
     resid = m - q @ (q.T @ m)
     return float(np.linalg.norm(resid) / (np.linalg.norm(m) + eps))
 
 
-def refine_and_increment(rho_tilde: float, pooled, config: LrspConfig) -> tuple[float, float]:
+def refine_and_increment(rho_tilde: float, config: LrspConfig) -> tuple[float, float]:
     """Pass the residual estimate through and derive the gate increment.
 
     The refinement is the identity; the increment ``c_beta * (1 - rho)``
-    grows the gate faster when the subspace captured more energy.  ``pooled``
-    is accepted for interface fidelity but does not affect the rule.
+    grows the gate faster when the subspace captured more energy.
     """
     rho_tilde = float(rho_tilde)
     if not 0.0 <= rho_tilde < 1.0:
         raise ValueError(f"rho_tilde must lie in [0, 1), got {rho_tilde}")
-    np.asarray(pooled, dtype=float)
     return rho_tilde, config.c_beta * (1.0 - rho_tilde)
 
 
@@ -384,6 +418,12 @@ def subspace_proximal(u, q, theta: float, beta: float) -> np.ndarray:
     soft-thresholded, the result is blended with B by the gate
     sigmoid(beta), and mapped back through q.  Output rank is at most the
     basis width.
+
+    The thresholding is :func:`specrank.svt.svt_gram` on the r x n matrix
+    B, within that function's error bound of the LAPACK reference
+    ``svt_full(B, theta)``.  A NaN or infinite entry of ``u`` reaches B's
+    Gram diagonal, so svt_gram hands it to svt_full, which raises
+    ValueError.
     """
     a = _as_matrix(u)
     q = np.asarray(q, dtype=float)
@@ -395,7 +435,7 @@ def subspace_proximal(u, q, theta: float, beta: float) -> np.ndarray:
         raise ValueError("beta must be finite")
     b = q.T @ a
     alpha = float(expit(beta))
-    b_tilde = (1.0 - alpha) * b + alpha * svt_full(b, theta)
+    b_tilde = (1.0 - alpha) * b + alpha * svt_gram(b, theta)
     return q @ b_tilde
 
 
@@ -473,17 +513,19 @@ def lrsp_apply(u, config: LrspConfig, state: LrspState):
         omega = build_selector(g, w, config.kappa)
         basis = orthonormal_subspace(a, omega, config.r, seed=[config.seed, 202, t])
         rho = residual_ratio(a, basis.q, g, config.probes, [config.seed, 101, t], config.eps)
-        pooled = sparse_pool(a, omega)
-        rho_hat, delta_beta = refine_and_increment(rho, pooled, config)
+        rho_hat, delta_beta = refine_and_increment(rho, config)
         proposals.append(subspace_proximal(a, basis.q, config.theta, beta))
         rho_hats.append(rho_hat)
         records.append((t, tau, beta, rho_hat, basis.n_completed, time.perf_counter_ns() - t_step))
         beta += delta_beta
 
     weights = fusion_weights(rho_hats, config.nu)
-    out = np.zeros((d, n))
-    for wt, p in zip(weights, proposals):
-        out += wt * p
+    # The proposals are fresh arrays owned here: fuse them in place.
+    out = proposals[0]
+    out *= weights[0]
+    for wt, p in zip(weights[1:], proposals[1:]):
+        p *= wt
+        out += p
     steps = tuple(
         StepDiagnostics(
             t=rec[0],

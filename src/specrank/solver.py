@@ -201,11 +201,13 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
         if not np.all(np.isfinite(out)):
             raise NumericError(f"stage {k}: proximal output is not finite")
         y = synthesize(out, config.transform, x.h, x.w)
-        obj = objective(y, op, x, config.lam, config.transform)
+        # objective(), with the fidelity kept for the report
+        fid = data_fidelity(y, op, x)
+        obj = fid + config.lam * nuclear_norm(analyze(y, config.transform))
         if not np.isfinite(obj):
             raise NumericError(f"stage {k}: objective is not finite")
         objectives.append(obj)
-        fidelities.append(data_fidelity(y, op, x))
+        fidelities.append(fid)
         diags.append(diag)
         elapsed.append(time.perf_counter_ns() - t_stage)
         norm_trail.append(float(np.linalg.norm(y.data)))

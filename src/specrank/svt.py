@@ -1,16 +1,18 @@
 """Singular-value shrinkage and the nuclear norm.
 
 ``svt_full`` is the LAPACK reference: a full SVD, soft-thresholded and
-recomposed.  The budgeted operator in :mod:`specrank.lrsp` is validated
-against it and shrinks its r x n coordinates with it.
+recomposed.  The Gram-matrix kernels below and the budgeted operator in
+:mod:`specrank.lrsp` are tested against it.
 
 ``svt_gram`` and ``nuclear_norm`` compute the same quantities from the
 eigendecomposition of the k x k Gram matrix of the short side (k = 31 bands
-for the solver's iterates), which costs two small GEMMs plus an ``eigh``
-instead of an SVD of the whole matrix (Cai, Candes & Shen, SIAM J. Optim.
-2010).  Forming the Gram matrix squares the singular values, so its
-eigenvalues carry round-off of about ``k * eps * lambda_max``; each function
-states the error this leaves and falls back to LAPACK where it is too large.
+for the solver's iterates in exact mode, k = r for the r x n subspace
+coordinates that the budgeted operator shrinks), which costs two small GEMMs
+plus an ``eigh`` instead of an SVD of the whole matrix (Cai, Candes & Shen,
+SIAM J. Optim. 2010).  Forming the Gram matrix squares the singular values,
+so its eigenvalues carry round-off of about ``k * eps * lambda_max``; each
+function states the error this leaves and falls back to LAPACK where it is
+too large.
 """
 
 from __future__ import annotations
@@ -90,13 +92,21 @@ def svt_gram(m, theta: float) -> np.ndarray:
 
     Error bound: with ``theta**2 >= k * eps * lam_max`` every round-off
     eigenvalue is zeroed, and each kept singular value is off by at most
-    about ``eps * sigma_max**2 / theta <= sqrt(eps / k) * sigma_max``.  Below
-    that threshold, or when the Gram matrix is unusable, the result is
-    :func:`svt_full`'s.  ``theta == 0`` returns a copy of ``m``.
+    about ``eps * sigma_max**2 / theta <= sqrt(eps / k) * sigma_max``.  The
+    whole result, GEMM rounding included, lies within
+    ``10 * k * eps * sigma_max**2 / theta`` of :func:`svt_full`'s in
+    Frobenius norm (over random k x n matrices with k <= 31 and thresholds
+    down to the guard, the largest ratio to ``k * eps * sigma_max**2 /
+    theta`` seen was 6.6).  When ``theta**2 <= k * eps * lam_max``, or when
+    the Gram matrix is unusable, the result is :func:`svt_full`'s.
+    ``theta == 0`` returns a copy of ``m``.  A NaN or infinite entry raises
+    ValueError, as in svt_full.
     """
     theta = _check_threshold(theta)
     a = _as_matrix(m)
     if theta == 0.0:
+        if not np.all(np.isfinite(a)):
+            raise ValueError("svt_gram input must be finite")
         return a.copy()
     eig = _gram_eigh(a)
     if eig is None:

@@ -24,13 +24,20 @@ from specrank.lrsp import (
     subspace_proximal,
     temperature,
 )
-from specrank.svt import numerical_rank, svt_full
+from specrank.svt import numerical_rank, svt_full, svt_gram
+
+EPS = np.finfo(float).eps
 
 
 def _config(**kw):
     base = dict(r=4, kappa=8, theta=0.5)
     base.update(kw)
     return LrspConfig(**base)
+
+
+def _gram_bound(b, theta):
+    """Frobenius distance svt_gram's docstring allows from svt_full(b, theta)."""
+    return 10 * min(b.shape) * EPS * np.linalg.norm(b, 2) ** 2 / theta
 
 
 # -- column importance -------------------------------------------------------
@@ -154,6 +161,34 @@ def test_build_selector_matches_brute_force_sort():
     ranked = sorted(range(7), key=lambda i: (-w[i], i))[:3]
     assert omega.indices.tolist() == ranked
     assert np.array_equal(omega.weights, g[ranked] * w[ranked])
+
+
+# Inputs with ties: all equal, duplicates straddling every cut, few distinct values.
+TIE_SCORES = {
+    "all-equal": np.full(12, 0.25),
+    "straddling": np.array([0.3, 0.1, 0.2, 0.1, 0.1, 0.05, 0.1, 0.05, 0.2, 0.0]),
+    "few-values": np.random.default_rng(29).integers(0, 4, 50) / 7.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_SCORES))
+def test_soft_topk_pivot_matches_stable_argsort_under_ties(name):
+    s = TIE_SCORES[name]
+    for kappa in range(1, s.size):
+        pivot = s[np.argsort(-s, kind="stable")[kappa]]
+        sp = np.logaddexp(0.0, (s - pivot) / 0.3)
+        assert np.array_equal(soft_topk(s, kappa, 0.3), sp / sp.sum())
+
+
+@pytest.mark.parametrize("name", sorted(TIE_SCORES))
+def test_build_selector_matches_stable_argsort_under_ties(name):
+    w = TIE_SCORES[name] / TIE_SCORES[name].sum()
+    g = np.random.default_rng(30).uniform(0.1, 1.0, w.size)
+    for kappa in range(1, w.size + 1):  # kappa == n included
+        idx = np.argsort(-w, kind="stable")[:kappa]
+        omega = build_selector(g, w, kappa)
+        assert np.array_equal(omega.indices, idx)
+        assert np.array_equal(omega.weights, g[idx] * w[idx])
 
 
 def test_build_selector_rejects_all_zero_weights():
@@ -283,21 +318,21 @@ def test_residual_ratio_stays_in_range():
 
 def test_refine_and_increment_rule():
     cfg = _config(c_beta=0.5)
-    rho, delta = refine_and_increment(0.0, np.zeros(4), cfg)
+    rho, delta = refine_and_increment(0.0, cfg)
     assert (rho, delta) == (0.0, 0.5)
-    rho, delta = refine_and_increment(0.5, np.zeros(4), cfg)
+    rho, delta = refine_and_increment(0.5, cfg)
     assert rho == 0.5
     assert delta == 0.25
-    _, delta = refine_and_increment(0.999999, np.zeros(4), cfg)
+    _, delta = refine_and_increment(0.999999, cfg)
     assert 0.0 < delta < 1e-5
-    assert refine_and_increment(0.3, np.zeros(4), _config(c_beta=0.0))[1] == 0.0
+    assert refine_and_increment(0.3, _config(c_beta=0.0))[1] == 0.0
 
 
 def test_refine_and_increment_rejects_out_of_range():
     cfg = _config()
     for bad in [-0.1, 1.0, 1.5]:
         with pytest.raises(ValueError):
-            refine_and_increment(bad, np.zeros(2), cfg)
+            refine_and_increment(bad, cfg)
 
 
 def test_temperature_schedule_values():
@@ -332,7 +367,23 @@ def test_subspace_proximal_identity_basis_saturated_gate_is_svt():
     rng = np.random.default_rng(16)
     u = rng.standard_normal((6, 9))
     out = subspace_proximal(u, np.eye(6), 0.8, beta=EXACT_GATE_BETA)
-    assert np.array_equal(out, svt_full(u, 0.8))
+    # the identity basis and the saturated gate add no rounding
+    assert np.array_equal(out, svt_gram(u, 0.8))
+    assert np.linalg.norm(out - svt_full(u, 0.8)) <= _gram_bound(u, 0.8)
+
+
+def test_subspace_proximal_matches_lapack_on_wide_coordinates():
+    # r = 8 coordinates over N = 4096 columns, the shape the solver shrinks
+    rng = np.random.default_rng(31)
+    u = rng.standard_normal((31, 4)) @ rng.standard_normal((4, 4096))
+    u += 0.1 * rng.standard_normal(u.shape)
+    q, _ = np.linalg.qr(rng.standard_normal((31, 8)))
+    b = q.T @ u
+    s = np.linalg.svd(b, compute_uv=False)
+    for theta in (0.05 * s[0], 0.5 * (s[2] + s[3]), s[5]):
+        out = subspace_proximal(u, q, theta, beta=EXACT_GATE_BETA)
+        ref = q @ svt_full(b, theta)
+        assert np.linalg.norm(out - ref) <= _gram_bound(b, theta)
 
 
 def test_subspace_proximal_output_rank_bounded_by_basis_width():
@@ -487,6 +538,35 @@ def test_lrsp_apply_validates_dimensions():
         lrsp_apply(np.ones((2, 8)), cfg, LrspState(beta=0.5))  # r > d
     with pytest.raises(DimensionError):
         lrsp_apply(np.ones((8, 8)), cfg, LrspState(beta=0.5, memory_g=np.full(3, 0.5)))
+
+
+def _omega():
+    return Selector(np.array([1, 4, 6]), np.array([0.3, 0.0, 0.2]))
+
+
+# Every public helper that reads columns of the matrix, called with the
+# matrix; the bad entry goes into column 4, which each of them reads.
+NON_FINITE_CALLS = {
+    "column_importance": lambda u: column_importance(u, LrspState(beta=0.5)),
+    "score_columns": lambda u: score_columns(u, 3),
+    "sparse_pool": lambda u: sparse_pool(u, _omega()),
+    "orthonormal_subspace": lambda u: orthonormal_subspace(u, _omega(), 2),
+    "residual_ratio": lambda u: residual_ratio(u, np.eye(6)[:, :2], np.full(9, 0.5), 4, 0),
+    "subspace_proximal": lambda u: subspace_proximal(u, np.eye(6)[:, :2], 0.5, 1.0),
+    "subspace_proximal-theta0": lambda u: subspace_proximal(u, np.eye(6)[:, :2], 0.0, 1.0),
+    "lrsp_apply": lambda u: lrsp_apply(u, _config(r=2, kappa=4), LrspState(beta=0.5)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_helpers_reject_non_finite_entries(name, bad):
+    u = np.random.default_rng(32).standard_normal((6, 9))
+    NON_FINITE_CALLS[name](u)  # finite input passes
+    u[3, 4] = bad
+    # scipy's QR words its finiteness check as "must not contain infs or NaNs"
+    with pytest.raises(ValueError, match="finite|NaNs"), np.errstate(invalid="ignore"):
+        NON_FINITE_CALLS[name](u)
 
 
 def test_lrsp_diagnostics_contents_and_serialization():

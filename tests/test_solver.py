@@ -176,6 +176,9 @@ def test_unfold_subspace_mode_runs_and_reports():
     assert all(len(d.steps) == 2 for d in report.lrsp)
     assert all(np.isfinite(o) for o in report.objectives)
     assert not report.diverged
+    # the report's columns are objective() and data_fidelity() bit for bit
+    assert report.objectives[-1] == objective(y, op, x, 0.01, TransformKind.IDENTITY)
+    assert report.fidelities[-1] == data_fidelity(y, op, x)
 
 
 def test_unfold_dct_transform_path():
@@ -190,6 +193,7 @@ def test_unfold_dct_transform_path():
     y, report = unfold_solve(x, op, cfg)
     assert np.all(np.isfinite(y.data))
     assert report.objectives[-1] <= report.objectives[0] + 1e-9
+    assert report.objectives[-1] == objective(y, op, x, 0.02, TransformKind.SPECTRAL_DCT)
 
 
 def test_unfold_flags_divergence_for_oversized_steps():

@@ -125,6 +125,8 @@ def test_svt_gram_matches_lapack(name):
         ref = svt_full(m, theta)
         got = svt_gram(m, theta)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        # the Frobenius bound stated in svt_gram's docstring
+        assert np.linalg.norm(got - ref) <= 10 * min(m.shape) * EPS * s[0] ** 2 / theta
 
 
 @pytest.mark.parametrize("name", ["wide", "tall", "rank3-31x4096"])
@@ -184,6 +186,8 @@ def test_gram_kernels_reject_non_finite_input():
     m[1, 2] = np.nan
     with pytest.raises(ValueError):
         svt_gram(m, 0.1)
+    with pytest.raises(ValueError):
+        svt_gram(m, 0.0)
     with pytest.raises(ValueError):
         nuclear_norm(m)
     m[1, 2] = np.inf
