@@ -1,6 +1,6 @@
 """Physics-grounded RGB-to-spectral reconstruction with a low-rank prior.
 
-The package solves ``min_Y 0.5 ||phi Y - X||_F^2 + lam ||T(Y)||_*`` by a
+The package solves ``min_Y 0.5 ||phi Y - X||_F^2 + lam ||Y||_*`` by a
 staged proximal-gradient loop whose proximal step shrinks singular values
 inside an adaptively selected subspace instead of running a full SVD.
 """
@@ -45,7 +45,6 @@ from .lrsp import (
     SubspaceBasis,
     build_selector,
     column_importance,
-    fuse_proposals,
     fusion_weights,
     lrsp_apply,
     orthonormal_subspace,
@@ -78,6 +77,5 @@ from .solver import (
     unfold_solve,
 )
 from .svt import nuclear_norm, numerical_rank, soft_threshold, svt_full, svt_gram
-from .transform import TransformKind, analyze, synthesize
 
 __version__ = "0.1.0"

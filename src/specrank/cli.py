@@ -31,19 +31,12 @@ from .data_io import (
     write_cube,
     write_rgb,
 )
-from .errors import (
-    ConvergenceError,
-    CubeFormatError,
-    DegenerateSelectionError,
-    NumericError,
-    SpectraFormatError,
-)
+from .errors import CubeFormatError, DegenerateSelectionError, NumericError, SpectraFormatError
 from .forward_model import SpectralCube, apply_phi, estimate_phi_ls, make_phi
 from .lrsp import LrspConfig, LrspState, lrsp_apply
 from .metrics import MetricReport, delta_e00, metric_csv_lines, mse_map, psnr, sam, ssim
 from .solver import InitMode, SolverConfig, SolverMode, report_csv_lines, unfold_solve
 from .svt import svt_full, svt_gram
-from .transform import TransformKind
 
 
 class UsageError(Exception):
@@ -83,7 +76,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--stages", type=int, default=3)
     p.add_argument("--eta", default="auto")
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--transform", choices=["identity", "dct"], default="identity")
     p.add_argument("--exact", action="store_true", help="exact SVT proximal, one ISTA step per stage")
     p.add_argument("--rank", type=int)
     p.add_argument("--kappa", type=int)
@@ -181,8 +173,7 @@ def _cmd_reconstruct(args) -> int:
             nu=args.nu, seed=args.seed,
         )
     config = SolverConfig(
-        stages=args.stages, eta=eta, lam=args.lam,
-        transform=TransformKind(args.transform), lrsp=lrsp,
+        stages=args.stages, eta=eta, lam=args.lam, lrsp=lrsp,
         init=InitMode(args.init), mode=mode, memory_mu=args.mu,
     )
     cube, report = unfold_solve(rgb, op, config)
@@ -269,7 +260,7 @@ def run(argv) -> int:
     except (CubeFormatError, SpectraFormatError, OSError) as e:
         print(f"error: io: {e}", file=sys.stderr)
         return 3
-    except (ConvergenceError, NumericError, DegenerateSelectionError, np.linalg.LinAlgError) as e:
+    except (NumericError, DegenerateSelectionError, np.linalg.LinAlgError) as e:
         print(f"error: numeric: {e}", file=sys.stderr)
         return 4
     except ValueError as e:

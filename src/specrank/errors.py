@@ -13,19 +13,6 @@ class SingularSystemError(np.linalg.LinAlgError):
     """A linear system required by an estimator is numerically singular."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its budget before meeting tolerance.
-
-    Carries the last iterate value so callers can inspect how close the
-    routine got.
-    """
-
-    def __init__(self, message: str, last_value=None, iterations: int | None = None):
-        super().__init__(message)
-        self.last_value = last_value
-        self.iterations = iterations
-
-
 class DegenerateSelectionError(ValueError):
     """Column selection produced no usable columns (for example all-zero weights)."""
 

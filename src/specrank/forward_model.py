@@ -4,7 +4,7 @@ The operator is ``phi = S @ diag(ell)`` where ``S`` is the camera spectral
 sensitivity (3 x B) and ``ell`` the scene illuminant (length B).  The module
 also provides the classical estimators that recover ``phi`` (ridge least
 squares on calibration pairs) and ``ell`` (per-band projection), plus the
-power-iteration bound used to pick solver step sizes.
+squared spectral norm used to pick solver step sizes.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    SingularSystemError,
-    SpectraFormatError,
-)
+from .errors import DimensionError, SingularSystemError, SpectraFormatError
 
 
 def _readonly(a, dtype=np.float64) -> np.ndarray:
@@ -266,36 +261,9 @@ def estimate_illuminant(s: Sensitivity, phi_hat: ForwardOperator) -> Illuminant:
     return Illuminant(spectrum, s.wavelengths)
 
 
-def spectral_norm_sq(op: ForwardOperator, tol: float = 1e-10, max_iter: int = 1000) -> float:
-    """Largest squared singular value of phi by power iteration on ``phi.T phi``.
-
-    The start vector is the normalized all-ones vector, so the result is
-    deterministic.  Raises :class:`ConvergenceError` (carrying the last
-    estimate) if the relative change does not drop below ``tol`` within
-    ``max_iter`` iterations.
-    """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    a = op.phi
-    b = a.shape[1]
-    v = np.full(b, 1.0 / np.sqrt(b))
-    lam_prev = None
-    lam = 0.0
-    for _ in range(max_iter):
-        u = a @ v
-        lam = float(u @ u)
-        if lam == 0.0:
-            return 0.0
-        z = a.T @ u
-        v = z / np.linalg.norm(z)
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * lam:
-            return lam
-        lam_prev = lam
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations",
-        last_value=lam,
-        iterations=max_iter,
-    )
+def spectral_norm_sq(op: ForwardOperator) -> float:
+    """Largest squared singular value of phi, from LAPACK's SVD of the 3 x B matrix."""
+    return float(np.linalg.norm(op.phi, 2) ** 2)
 
 
 # -- spectra CSV ingestion ---------------------------------------------------

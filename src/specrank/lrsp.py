@@ -454,36 +454,21 @@ def fusion_weights(rho_hats, nu: float) -> np.ndarray:
     return e / e.sum()
 
 
-def fuse_proposals(proposals, rho_hats, nu: float) -> np.ndarray:
-    """Residual-aware convex combination of proposals."""
-    if len(proposals) == 0:
-        raise ValueError("need at least one proposal")
-    if len(proposals) != len(rho_hats):
-        raise DimensionError("one residual estimate per proposal required")
-    mats = [np.asarray(p, dtype=float) for p in proposals]
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise DimensionError("proposals must share one shape")
-    w = fusion_weights(rho_hats, nu)
-    out = np.zeros(shape)
-    for wt, m in zip(w, mats):
-        out += wt * m
-    return out
-
-
 def lrsp_apply(u, config: LrspConfig, state: LrspState):
     """Run the full subspace proximal: T inner steps plus fusion.
 
-    Per inner step: soft column selection at the scheduled temperature,
-    sketch orthonormalization, residual probing, gate increment, and the
-    gated subspace shrinkage, all from seeds derived from ``config.seed``.
-    With ``kappa`` equal to the column count the selection is uniform over
-    all columns (the soft pivot needs a left-out column), which together with
-    ``r = d`` and a saturated gate reproduces full singular-value
-    thresholding.
+    Per inner step t: soft column selection at the scheduled temperature,
+    sketch orthonormalization (basis completion seeded by
+    ``[config.seed, 202, t]``), residual probing (seeded by
+    ``[config.seed, 101, t]``), gate increment, and the gated subspace
+    shrinkage; the scores are seeded by ``config.seed``.  With ``kappa``
+    equal to the column count the selection is uniform over all columns (the
+    soft pivot needs a left-out column), which together with ``r = d`` and a
+    saturated gate reproduces full singular-value thresholding.
 
-    Returns the fused matrix, the advanced state, and per-step diagnostics.
+    Returns the proposals' sum weighted by :func:`fusion_weights` (formed in
+    place; this is the package's only fusion), the advanced state, and
+    per-step diagnostics.
     """
     t_start = time.perf_counter_ns()
     a = _as_matrix(u)
@@ -492,10 +477,6 @@ def lrsp_apply(u, config: LrspConfig, state: LrspState):
         raise DimensionError(f"column budget {config.kappa} exceeds {n} columns")
     if config.r > d:
         raise DimensionError(f"target rank {config.r} exceeds {d} rows")
-    if state.memory_g is not None and state.memory_g.shape != (n,):
-        raise DimensionError(
-            f"memory has {state.memory_g.shape[0]} entries but the matrix has {n} columns"
-        )
 
     g = column_importance(a, state)
     scores = score_columns(a, config.seed)

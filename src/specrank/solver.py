@@ -1,11 +1,12 @@
 """Unfolded proximal-gradient loop for RGB-to-spectral reconstruction.
 
-Each stage takes a physics-guided gradient step on the data term, moves to
-transform coordinates, applies a nuclear-norm proximal, and maps back.  In
-exact mode that proximal is singular-value thresholding with threshold
-lambda * eta, computed from the B x B Gram matrix (:func:`svt_gram`), so
-every stage is one ISTA step on the composite objective; subspace mode runs
-the budgeted operator of :mod:`specrank.lrsp` from the configured budget.
+Each stage takes a physics-guided gradient step on the data term and applies
+a nuclear-norm proximal to the B x N iterate.  In exact mode that proximal
+is singular-value thresholding with threshold lambda * eta, computed from
+the B x B Gram matrix (:func:`svt_gram`), so every stage is one ISTA step on
+the composite objective; subspace mode runs the budgeted operator of
+:mod:`specrank.lrsp` from the configured budget.  A numeric failure inside
+stage k raises :class:`NumericError` naming the stage.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .forward_model import (
 )
 from .lrsp import LrspConfig, LrspDiagnostics, LrspState, lrsp_apply
 from .svt import nuclear_norm, svt_gram
-from .transform import TransformKind, analyze, synthesize
 
 
 class InitMode(enum.Enum):
@@ -55,7 +55,6 @@ class SolverConfig:
     stages: int
     eta: object = "auto"
     lam: float = 0.0
-    transform: TransformKind = TransformKind.IDENTITY
     lrsp: LrspConfig | None = None
     init: InitMode = InitMode.PSEUDOINVERSE
     mode: SolverMode = SolverMode.SUBSPACE
@@ -122,9 +121,8 @@ def gradient_step(y: SpectralCube, op: ForwardOperator, x: RgbImage, eta: float)
     if (y.h, y.w) != (x.h, x.w):
         raise DimensionError(f"cube dims {(y.h, y.w)} do not match image dims {(x.h, x.w)}")
     pred = apply_phi(op, y)
-    resid = RgbImage(pred.data - x.data, x.h, x.w)
-    back = apply_phi_adjoint(op, resid)
-    return SpectralCube(y.data - eta * back.data, y.h, y.w)
+    back = op.phi.T @ (pred.data - x.data)
+    return SpectralCube(y.data - eta * back, y.h, y.w)
 
 
 def initialize(x: RgbImage, op: ForwardOperator, mode: InitMode) -> SpectralCube:
@@ -146,19 +144,28 @@ def data_fidelity(y: SpectralCube, op: ForwardOperator, x: RgbImage) -> float:
     return 0.5 * float(np.linalg.norm(pred.data - x.data) ** 2)
 
 
-def objective(
-    y: SpectralCube, op: ForwardOperator, x: RgbImage, lam: float, kind: TransformKind
-) -> float:
-    """Data fidelity plus lam times the nuclear norm in transform coordinates."""
+def objective(y: SpectralCube, op: ForwardOperator, x: RgbImage, lam: float) -> float:
+    """Data fidelity plus lam times the nuclear norm of the cube."""
     lam = float(lam)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError("lam must be finite and >= 0")
-    return data_fidelity(y, op, x) + lam * nuclear_norm(analyze(y, kind))
+    return data_fidelity(y, op, x) + lam * nuclear_norm(y.data)
+
+
+# analyze and synthesize are kept as functions: perfbench/tracing.py wraps both.
+def analyze(y: SpectralCube) -> np.ndarray:
+    """The cube's B x N matrix, not copied: the proximals never write their input."""
+    return y.data
+
+
+def synthesize(u: np.ndarray, h: int, w: int) -> SpectralCube:
+    """Wrap a B x N matrix as a cube with spatial dims (h, w)."""
+    return SpectralCube(u, h, w)
 
 
 def _resolve_eta(config: SolverConfig, op: ForwardOperator) -> tuple[float, ...]:
     if isinstance(config.eta, str):
-        sigma_sq = spectral_norm_sq(op, tol=1e-12, max_iter=10_000)
+        sigma_sq = spectral_norm_sq(op)
         if sigma_sq <= 0.0:
             raise NumericError("cannot pick a step size for a zero forward operator")
         return (1.0 / sigma_sq,) * config.stages
@@ -176,8 +183,6 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     t_start = time.perf_counter_ns()
     etas = _resolve_eta(config, op)
     y = initialize(x, op, config.init)
-    if y.bands != op.bands:
-        raise DimensionError("initializer returned a cube with the wrong band count")
     exact = config.mode is SolverMode.EXACT
     state = None if exact else LrspState(beta=config.lrsp.beta1, mu=config.memory_mu)
 
@@ -190,20 +195,22 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     for k in range(1, config.stages + 1):
         t_stage = time.perf_counter_ns()
         eta_k = etas[k - 1]
-        r_cube = gradient_step(y, op, x, eta_k)
-        u = analyze(r_cube, config.transform)
-        if exact:
-            t_prox = time.perf_counter_ns()
-            out = svt_gram(u, config.lam * eta_k)
-            diag = LrspDiagnostics(steps=(), total_elapsed_ns=time.perf_counter_ns() - t_prox)
-        else:
-            out, state, diag = lrsp_apply(u, config.lrsp, state)
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"stage {k}: proximal output is not finite")
-        y = synthesize(out, config.transform, x.h, x.w)
-        # objective(), with the fidelity kept for the report
-        fid = data_fidelity(y, op, x)
-        obj = fid + config.lam * nuclear_norm(analyze(y, config.transform))
+        try:
+            u = analyze(gradient_step(y, op, x, eta_k))
+            if exact:
+                t_prox = time.perf_counter_ns()
+                out = svt_gram(u, config.lam * eta_k)
+                diag = LrspDiagnostics(steps=(), total_elapsed_ns=time.perf_counter_ns() - t_prox)
+            else:
+                out, state, diag = lrsp_apply(u, config.lrsp, state)
+            y = synthesize(out, x.h, x.w)
+            # objective(), with the fidelity kept for the report
+            fid = data_fidelity(y, op, x)
+            obj = fid + config.lam * nuclear_norm(y.data)
+        except DimensionError:
+            raise  # a budget or rank that does not fit the cube is a usage error
+        except ValueError as e:
+            raise NumericError(f"stage {k}: {e}") from e
         if not np.isfinite(obj):
             raise NumericError(f"stage {k}: objective is not finite")
         objectives.append(obj)

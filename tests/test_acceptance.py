@@ -30,7 +30,6 @@ from specrank.solver import (
     unfold_solve,
 )
 from specrank.svt import svt_full
-from specrank.transform import TransformKind
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -105,9 +104,7 @@ def test_acceptance_ista_descent():
         x = apply_phi(op, y_true)
         cfg = SolverConfig(stages=30, lam=0.05, init=InitMode.ZEROS, mode=SolverMode.EXACT)
         _, report = unfold_solve(x, op, cfg)
-        start = objective(
-            initialize(x, op, InitMode.ZEROS), op, x, 0.05, TransformKind.IDENTITY
-        )
+        start = objective(initialize(x, op, InitMode.ZEROS), op, x, 0.05)
         trail = (start,) + report.objectives
         violations += sum(1 for a, b in zip(trail, trail[1:]) if b > a + 1e-9)
     ok = violations == 0
@@ -172,7 +169,7 @@ def test_acceptance_end_to_end_recovery():
     op = make_phi(synth_css(16), flat_illuminant(16))
     x = apply_phi(op, scene)
     lam = 1e-3
-    eta = 1.0 / spectral_norm_sq(op, tol=1e-12, max_iter=10_000)
+    eta = 1.0 / spectral_norm_sq(op)
 
     exact_cfg = SolverConfig(
         stages=30, lam=lam, init=InitMode.PSEUDOINVERSE, mode=SolverMode.EXACT

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from specrank.cli import run
-from specrank.data_io import load_phi, read_cube, read_rgb
-from specrank.forward_model import apply_phi
+from specrank.data_io import load_phi, read_cube, read_rgb, save_phi, write_rgb
+from specrank.forward_model import ForwardOperator, apply_phi
 
 
 def _synth(tmp_path, name="scene", bands=12, size=16, rank=3, noise=0.0, seed=0):
@@ -118,6 +118,20 @@ def test_reconstruct_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_reconstruct_auto_eta_with_close_top_singular_values(tmp_path, close_gap_phi):
+    cube_p, _, _ = _synth(tmp_path, bands=31, size=8, rank=3)
+    op = ForwardOperator(close_gap_phi(0))
+    rgb_p = tmp_path / "gap_rgb.hsc"
+    phi_p = tmp_path / "gap_phi.csv"
+    write_rgb(rgb_p, apply_phi(op, read_cube(cube_p)))
+    save_phi(phi_p, op)
+    out_p = tmp_path / "recon.hsc"
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), "--exact",
+                "--eta", "auto", "--stages", "3", "--out", str(out_p)])
+    assert code == 0
+    assert read_cube(out_p).dims == (31, 8, 8)
+
+
 def test_reconstruct_calibrate_from_pair(tmp_path):
     cube_p, rgb_p, _ = _synth(tmp_path, bands=10, size=16, rank=3, noise=0.05)
     out_p = tmp_path / "recon.hsc"
@@ -156,6 +170,37 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert run(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: usage:")
         assert not (tmp_path / "o.hsc").exists()
+
+
+def test_oversized_budget_exits_2(tmp_path, capsys):
+    _, rgb_p, phi_p = _synth(tmp_path, size=16)
+    out_p = tmp_path / "o.hsc"
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p),
+                "--rank", "4", "--kappa", "257", "--out", str(out_p)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: usage: column budget 257 exceeds 256 columns\n"
+    assert not out_p.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", [["--exact"], ["--rank", "8", "--kappa", "64"]])
+@pytest.mark.parametrize(
+    "step",
+    [["--eta", "1e200"], ["--eta", "1.7e308", "--init", "zeros"]],
+    ids=["overflow-in-proximal", "overflow-in-gradient-step"],
+)
+def test_overflowing_step_size_exits_4(tmp_path, capsys, mode, step):
+    _, rgb_p, phi_p = _synth(tmp_path, bands=31, size=16, rank=4)
+    before = sorted(tmp_path.iterdir())
+    out_p = tmp_path / "o.hsc"
+    report_p = tmp_path / "r.csv"
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), *step, *mode,
+                "--out", str(out_p), "--report", str(report_p)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric: stage ")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_io_errors_exit_3(tmp_path, capsys):

@@ -12,7 +12,6 @@ from specrank.lrsp import (
     build_selector,
     column_importance,
     diagnostics_lines,
-    fuse_proposals,
     fusion_weights,
     lrsp_apply,
     orthonormal_subspace,
@@ -418,33 +417,6 @@ def test_fusion_weights_rejects_bad_input():
         fusion_weights([0.1], nu=0.0)
 
 
-def test_fuse_proposals_single_is_identity():
-    rng = np.random.default_rng(19)
-    p = rng.standard_normal((5, 7))
-    assert np.array_equal(fuse_proposals([p], [0.4], nu=10.0), p)
-
-
-def test_fuse_proposals_equal_residuals_average():
-    a = np.full((3, 3), 2.0)
-    b = np.full((3, 3), 4.0)
-    out = fuse_proposals([a, b], [0.2, 0.2], nu=10.0)
-    assert np.allclose(out, 3.0, rtol=1e-12)
-
-
-def test_fuse_proposals_large_nu_picks_best():
-    rng = np.random.default_rng(20)
-    mats = [rng.standard_normal((4, 6)) for _ in range(3)]
-    out = fuse_proposals(mats, [0.9, 0.1, 0.8], nu=1e3)
-    assert np.allclose(out, mats[1], atol=1e-6 * np.linalg.norm(mats[1]))
-
-
-def test_fuse_proposals_validates_shapes():
-    with pytest.raises(DimensionError):
-        fuse_proposals([np.ones((2, 2)), np.ones((3, 3))], [0.1, 0.2], nu=1.0)
-    with pytest.raises(DimensionError):
-        fuse_proposals([np.ones((2, 2))], [0.1, 0.2], nu=1.0)
-
-
 # -- the assembled operator --------------------------------------------------
 
 
@@ -475,6 +447,33 @@ def test_lrsp_apply_recovers_low_rank_input_at_zero_theta():
     cfg = _config(r=4, kappa=30, theta=0.0, inner_steps=3)
     out, _, _ = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
     assert np.linalg.norm(out - u) <= 1e-8 * np.linalg.norm(u)
+
+
+def test_lrsp_apply_output_is_fusion_weighted_sum_of_proposals():
+    # rebuild the T = 3 proposals from the public helpers and the seeds that
+    # lrsp_apply documents, then fuse them by their fusion weights
+    rng = np.random.default_rng(19)
+    u = rng.standard_normal((10, 40))
+    cfg = _config(r=3, kappa=12, theta=0.4, inner_steps=3, c_beta=0.7, seed=5)
+    state = LrspState(beta=cfg.beta1)
+    out, _, diag = lrsp_apply(u, cfg, state)
+    g = column_importance(u, state)
+    scores = score_columns(u, cfg.seed)
+    beta = cfg.beta1
+    proposals = []
+    rho_hats = []
+    for t in (1, 2, 3):
+        omega = build_selector(g, soft_topk(scores, cfg.kappa, temperature(t, cfg)), cfg.kappa)
+        q = orthonormal_subspace(u, omega, cfg.r, seed=[cfg.seed, 202, t]).q
+        rho = residual_ratio(u, q, g, cfg.probes, [cfg.seed, 101, t], cfg.eps)
+        rho_hat, delta_beta = refine_and_increment(rho, cfg)
+        proposals.append(subspace_proximal(u, q, cfg.theta, beta))
+        rho_hats.append(rho_hat)
+        beta += delta_beta
+    weights = fusion_weights(rho_hats, cfg.nu)
+    assert [s.weight for s in diag.steps] == list(weights)
+    want = sum(w * p for w, p in zip(weights, proposals))
+    assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_lrsp_apply_is_bitwise_deterministic():

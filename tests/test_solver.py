@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from specrank.errors import NumericError
+from specrank.errors import DimensionError, NumericError
 from specrank.forward_model import ForwardOperator, RgbImage, SpectralCube, apply_phi
 from specrank.solver import (
     InitMode,
     SolverConfig,
     SolverMode,
+    analyze,
     data_fidelity,
     gradient_step,
     initialize,
     objective,
     report_csv_lines,
+    synthesize,
     unfold_solve,
 )
 from specrank.lrsp import LrspConfig
 from specrank.svt import nuclear_norm, svt_full
-from specrank.transform import TransformKind
 
 
 def _problem(seed, b=8, h=4, w=8):
@@ -46,8 +47,25 @@ def test_gradient_step_matches_dense_formula():
     y = SpectralCube(rng.standard_normal((8, 32)), 4, 8)
     eta = 0.37
     out = gradient_step(y, op, x, eta)
-    want = y.data - eta * op.phi.T @ (op.phi @ y.data - x.data)
-    assert np.allclose(out.data, want, atol=1e-12)
+    want = y.data - eta * (op.phi.T @ (op.phi @ y.data - x.data))
+    assert np.array_equal(out.data, want)
+
+
+def test_gradient_step_builds_two_containers(monkeypatch):
+    # the observation apply_phi returns and the result; the residual and the
+    # back-projection stay plain arrays
+    op, y, x = _problem(22)
+    built = []
+    for cls in (SpectralCube, RgbImage):
+        original = cls.__post_init__
+
+        def counted(self, original=original, name=cls.__name__):
+            built.append(name)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    gradient_step(y, op, x, 0.1)
+    assert sorted(built) == ["RgbImage", "SpectralCube"]
 
 
 def test_gradient_step_rejects_bad_eta_and_dims():
@@ -81,12 +99,47 @@ def test_initialize_pseudoinverse_reproduces_observation():
     assert np.allclose(op.phi @ y0.data, x.data, atol=1e-8)
 
 
+def test_analyze_returns_the_matrix():
+    _, y, _ = _problem(19)
+    assert analyze(y) is y.data
+
+
+def test_analyze_synthesize_roundtrip():
+    _, y, _ = _problem(20)
+    back = synthesize(analyze(y), y.h, y.w)
+    assert np.array_equal(back.data, y.data)
+    assert back.dims == y.dims
+
+
+def test_zero_cube_maps_to_zero_both_ways():
+    y = SpectralCube(np.zeros((6, 4)), 2, 2)
+    u = analyze(y)
+    assert np.array_equal(u, np.zeros((6, 4)))
+    assert np.array_equal(synthesize(u, 2, 2).data, np.zeros((6, 4)))
+
+
+def test_analyze_output_is_read_only():
+    _, y, _ = _problem(21)
+    before = y.data.copy()
+    u = analyze(y)
+    with pytest.raises(ValueError):
+        u[0, 0] += 1.0
+    assert np.array_equal(y.data, before)
+
+
+def test_synthesize_rejects_bad_shapes():
+    with pytest.raises(DimensionError):
+        synthesize(np.zeros(8), 2, 4)
+    with pytest.raises(DimensionError):
+        synthesize(np.zeros((8, 9)), 2, 4)
+
+
 def test_objective_zero_cases():
     op, y, x = _problem(6)
-    assert objective(y, op, x, 0.0, TransformKind.IDENTITY) == 0.0
+    assert objective(y, op, x, 0.0) == 0.0
     zero_x = RgbImage(np.zeros_like(x.data), x.h, x.w)
     zero_y = SpectralCube(np.zeros_like(y.data), y.h, y.w)
-    assert objective(zero_y, op, zero_x, 2.0, TransformKind.IDENTITY) == 0.0
+    assert objective(zero_y, op, zero_x, 2.0) == 0.0
 
 
 def test_objective_matches_naive_evaluation():
@@ -94,7 +147,7 @@ def test_objective_matches_naive_evaluation():
     op, _, x = _problem(7)
     y = SpectralCube(rng.standard_normal((8, 32)), 4, 8)
     lam = 0.3
-    got = objective(y, op, x, lam, TransformKind.IDENTITY)
+    got = objective(y, op, x, lam)
     resid = op.phi @ y.data - x.data
     naive = 0.5 * float((resid * resid).sum()) + lam * float(
         np.linalg.svd(y.data, compute_uv=False).sum()
@@ -160,7 +213,7 @@ def test_unfold_exact_mode_objective_descends():
         x = apply_phi(op, y_true)
         cfg = SolverConfig(stages=15, lam=0.05, init=InitMode.ZEROS, mode=SolverMode.EXACT)
         y, report = unfold_solve(x, op, cfg)
-        start = objective(initialize(x, op, InitMode.ZEROS), op, x, 0.05, TransformKind.IDENTITY)
+        start = objective(initialize(x, op, InitMode.ZEROS), op, x, 0.05)
         trail = (start,) + report.objectives
         assert all(b <= a + 1e-9 for a, b in zip(trail, trail[1:]))
 
@@ -177,23 +230,8 @@ def test_unfold_subspace_mode_runs_and_reports():
     assert all(np.isfinite(o) for o in report.objectives)
     assert not report.diverged
     # the report's columns are objective() and data_fidelity() bit for bit
-    assert report.objectives[-1] == objective(y, op, x, 0.01, TransformKind.IDENTITY)
+    assert report.objectives[-1] == objective(y, op, x, 0.01)
     assert report.fidelities[-1] == data_fidelity(y, op, x)
-
-
-def test_unfold_dct_transform_path():
-    op, _, x = _problem(12)
-    cfg = SolverConfig(
-        stages=8,
-        lam=0.02,
-        transform=TransformKind.SPECTRAL_DCT,
-        init=InitMode.ZEROS,
-        mode=SolverMode.EXACT,
-    )
-    y, report = unfold_solve(x, op, cfg)
-    assert np.all(np.isfinite(y.data))
-    assert report.objectives[-1] <= report.objectives[0] + 1e-9
-    assert report.objectives[-1] == objective(y, op, x, 0.02, TransformKind.SPECTRAL_DCT)
 
 
 def test_unfold_flags_divergence_for_oversized_steps():
@@ -271,6 +309,25 @@ def test_auto_eta_rejects_zero_operator():
     x = RgbImage(np.zeros((3, 4)), 2, 2)
     with pytest.raises(NumericError):
         unfold_solve(x, op, SolverConfig(stages=2, lam=0.0, init=InitMode.ZEROS, mode=SolverMode.EXACT))
+
+
+def test_proximal_value_error_is_a_numeric_error_naming_the_stage(monkeypatch):
+    import specrank.solver
+
+    calls = []
+    real = specrank.solver.lrsp_apply
+
+    def fail_second(u, config, state):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("matrix entries must be finite")
+        return real(u, config, state)
+
+    monkeypatch.setattr("specrank.solver.lrsp_apply", fail_second)
+    op, _, x = _problem(23)
+    cfg = SolverConfig(stages=3, lam=0.01, lrsp=LrspConfig(r=2, kappa=8, theta=0.01))
+    with pytest.raises(NumericError, match="^stage 2: matrix entries must be finite$"):
+        unfold_solve(x, op, cfg)
 
 
 def test_unfold_reduces_nuclear_norm_with_regularization():
