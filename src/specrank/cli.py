@@ -12,6 +12,7 @@ failed runs leave nothing behind.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -150,6 +151,20 @@ def _resolve_operator(args, parser_error):
     return estimate_phi_ls(read_rgb(rgb_path), read_cube(cube_path), args.ridge)
 
 
+# Every output flag of every subcommand.
+_OUTPUTS = ("out", "out_rgb", "out_phi", "report", "mse_map")
+
+
+def _check_output_dirs(args) -> None:
+    """Raise OSError unless every output path given lies in an existing directory."""
+    for name in _OUTPUTS:
+        path = getattr(args, name, None)
+        if path is not None:
+            parent = os.path.dirname(os.path.abspath(path))
+            if not os.path.isdir(parent):
+                raise FileNotFoundError(f"{path}: {parent} is not an existing directory")
+
+
 def _cmd_reconstruct(args) -> int:
     def fail(msg):
         raise UsageError(msg)
@@ -177,13 +192,18 @@ def _cmd_reconstruct(args) -> int:
         init=InitMode(args.init), mode=mode, memory_mu=args.mu,
     )
     cube, report = unfold_solve(rgb, op, config)
+    err_map = None
+    if args.mse_map:
+        # Scored before the first write, so a bad --ref leaves no output; read
+        # only after the solve, so the ref cube is not held through it.
+        ref = read_cube(args.ref)
+        err_map = SpectralCube(mse_map(ref, cube).reshape(1, -1), ref.h, ref.w)
+        del ref
     write_cube(args.out, cube)
     if args.report:
         atomic_write_text(args.report, "\n".join(report_csv_lines(report)) + "\n")
-    if args.mse_map:
-        ref = read_cube(args.ref)
-        plane = mse_map(ref, cube)
-        write_cube(args.mse_map, SpectralCube(plane.reshape(1, -1), ref.h, ref.w))
+    if err_map is not None:
+        write_cube(args.mse_map, err_map)
     return 0
 
 
@@ -253,6 +273,7 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_output_dirs(args)  # before any work, so a bad path writes nothing
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: usage: {e}", file=sys.stderr)

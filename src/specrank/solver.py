@@ -195,29 +195,32 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     for k in range(1, config.stages + 1):
         t_stage = time.perf_counter_ns()
         eta_k = etas[k - 1]
-        try:
-            u = analyze(gradient_step(y, op, x, eta_k))
-            if exact:
-                t_prox = time.perf_counter_ns()
-                out = svt_gram(u, config.lam * eta_k)
-                diag = LrspDiagnostics(steps=(), total_elapsed_ns=time.perf_counter_ns() - t_prox)
-            else:
-                out, state, diag = lrsp_apply(u, config.lrsp, state)
-            y = synthesize(out, x.h, x.w)
-            # objective(), with the fidelity kept for the report
-            fid = data_fidelity(y, op, x)
-            obj = fid + config.lam * nuclear_norm(y.data)
-        except DimensionError:
-            raise  # a budget or rank that does not fit the cube is a usage error
-        except ValueError as e:
-            raise NumericError(f"stage {k}: {e}") from e
-        if not np.isfinite(obj):
-            raise NumericError(f"stage {k}: objective is not finite")
-        objectives.append(obj)
-        fidelities.append(fid)
-        diags.append(diag)
-        elapsed.append(time.perf_counter_ns() - t_stage)
-        norm_trail.append(float(np.linalg.norm(y.data)))
+        # Each stage result below is checked for finiteness and raised as a
+        # NumericError, so numpy's overflow warnings would only add stderr lines.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                u = analyze(gradient_step(y, op, x, eta_k))
+                if exact:
+                    t_prox = time.perf_counter_ns()
+                    out = svt_gram(u, config.lam * eta_k)
+                    diag = LrspDiagnostics(steps=(), total_elapsed_ns=time.perf_counter_ns() - t_prox)
+                else:
+                    out, state, diag = lrsp_apply(u, config.lrsp, state)
+                y = synthesize(out, x.h, x.w)
+                # objective(), with the fidelity kept for the report
+                fid = data_fidelity(y, op, x)
+                obj = fid + config.lam * nuclear_norm(y.data)
+            except DimensionError:
+                raise  # a budget or rank that does not fit the cube is a usage error
+            except ValueError as e:
+                raise NumericError(f"stage {k}: {e}") from e
+            if not np.isfinite(obj):
+                raise NumericError(f"stage {k}: objective is not finite")
+            objectives.append(obj)
+            fidelities.append(fid)
+            diags.append(diag)
+            elapsed.append(time.perf_counter_ns() - t_stage)
+            norm_trail.append(float(np.linalg.norm(y.data)))
         if diverged_stage is None and k >= 2:
             baseline = max(norm_trail[0], norm_trail[1], 1e-30)
             if norm_trail[-1] > 10.0 * baseline:

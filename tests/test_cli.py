@@ -182,7 +182,7 @@ def test_oversized_budget_exits_2(tmp_path, capsys):
     assert not out_p.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", [["--exact"], ["--rank", "8", "--kappa", "64"]])
 @pytest.mark.parametrize(
     "step",
@@ -238,6 +238,47 @@ def test_failed_run_leaves_no_output(tmp_path):
                 "--exact", "--out", str(out_p)])
     assert code == 3
     assert not out_p.exists()
+
+
+def test_missing_report_directory_exits_3_before_solving(tmp_path, capsys, monkeypatch):
+    _, rgb_p, phi_p = _synth(tmp_path)
+    before = sorted(tmp_path.iterdir())
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve must not start")
+
+    monkeypatch.setattr("specrank.cli.unfold_solve", no_solve)
+    report_p = tmp_path / "missing" / "r.csv"
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), "--exact",
+                "--out", str(tmp_path / "o.hsc"), "--report", str(report_p)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"error: io: {report_p}: {report_p.parent} is not an existing directory\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_synth_missing_output_directory_exits_3_and_writes_nothing(tmp_path, capsys):
+    phi_p = tmp_path / "missing" / "phi.csv"
+    code = run(["synth", "--bands", "8", "--size", "8", "--rank", "2",
+                "--out", str(tmp_path / "s.hsc"), "--out-rgb", str(tmp_path / "r.hsc"),
+                "--out-phi", str(phi_p)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: io: {phi_p}: {phi_p.parent} is not an existing directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mismatched_ref_exits_2_and_writes_nothing(tmp_path, capsys):
+    _, rgb_p, phi_p = _synth(tmp_path, name="big", size=32)
+    small_p, _, _ = _synth(tmp_path, name="small", size=16)
+    before = sorted(tmp_path.iterdir())
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), "--exact",
+                "--out", str(tmp_path / "o.hsc"), "--report", str(tmp_path / "r.csv"),
+                "--mse-map", str(tmp_path / "m.hsc"), "--ref", str(small_p)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage: shape mismatch")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.filterwarnings("ignore:clamped")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +137,57 @@ def test_ssim_cube_averages_planes():
 def test_ssim_rejects_small_images():
     with pytest.raises(ValueError, match="window"):
         ssim(np.zeros((10, 10)), np.zeros((10, 10)))
+
+
+def _ssim_convolve2d(a, b, peak=1.0):
+    # the former implementation: five 2-d 11x11 convolutions per plane
+    from scipy.signal import convolve2d
+
+    coords = np.arange(11) - 5
+    g = np.exp(-(coords**2) / (2.0 * 1.5 * 1.5))
+    k = np.outer(g, g)
+    k /= k.sum()
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    vals = []
+    for pa, pb in zip(np.reshape(a, (-1,) + a.shape[-2:]), np.reshape(b, (-1,) + b.shape[-2:])):
+        mu_a = convolve2d(pa, k, mode="valid")
+        mu_b = convolve2d(pb, k, mode="valid")
+        s_aa = convolve2d(pa * pa, k, mode="valid") - mu_a * mu_a
+        s_bb = convolve2d(pb * pb, k, mode="valid") - mu_b * mu_b
+        s_ab = convolve2d(pa * pb, k, mode="valid") - mu_a * mu_b
+        num = (2.0 * mu_a * mu_b + c1) * (2.0 * s_ab + c2)
+        den = (mu_a * mu_a + mu_b * mu_b + c1) * (s_aa + s_bb + c2)
+        vals.append(float(np.mean(num / den)))
+    return float(np.mean(vals))
+
+
+def test_ssim_frozen_value_on_a_seeded_cube():
+    # value of the 2-d convolve2d implementation, frozen before the separable filter
+    rng = np.random.default_rng(2024)
+    a = rng.uniform(0.0, 1.0, (31, 64 * 64))
+    b = np.clip(a + 0.05 * rng.standard_normal((31, 64 * 64)), 0.0, 1.0)
+    got = ssim(SpectralCube(a, 64, 64), SpectralCube(b, 64, 64))
+    assert got == pytest.approx(0.9851475368474979, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (11, 40), (40, 11), (256, 256), (3, 17, 23)])
+def test_ssim_matches_convolve2d_implementation(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.uniform(0.0, 1.0, shape)
+    b = np.clip(a + 0.1 * rng.standard_normal(shape), 0.0, 1.0)
+    want = _ssim_convolve2d(a, b)
+    if len(shape) == 3:
+        a, b = SpectralCube.from_bhw(a), SpectralCube.from_bhw(b)
+    assert ssim(a, b) == pytest.approx(want, abs=1e-12)
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    code = "import sys, specrank.cli; sys.exit('scipy.signal' in sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- SAM ---------------------------------------------------------------------
