@@ -48,7 +48,6 @@ from .lrsp import (
     fusion_weights,
     lrsp_apply,
     orthonormal_subspace,
-    refine_and_increment,
     residual_ratio,
     score_columns,
     soft_topk,
@@ -70,12 +69,11 @@ from .solver import (
     InitMode,
     SolveReport,
     SolverConfig,
-    SolverMode,
     gradient_step,
     initialize,
     objective,
     unfold_solve,
 )
-from .svt import nuclear_norm, numerical_rank, soft_threshold, svt_full, svt_gram
+from .svt import nuclear_norm, numerical_rank, svt_full, svt_gram
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ failed runs leave nothing behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -25,7 +26,6 @@ from .data_io import (
     load_phi,
     read_cube,
     read_rgb,
-    render_rgb,
     save_phi,
     synth_css,
     synth_scene,
@@ -34,9 +34,9 @@ from .data_io import (
 )
 from .errors import CubeFormatError, DegenerateSelectionError, NumericError, SpectraFormatError
 from .forward_model import SpectralCube, apply_phi, estimate_phi_ls, make_phi
-from .lrsp import LrspConfig, LrspState, lrsp_apply
+from .lrsp import LrspConfig, lrsp_apply
 from .metrics import MetricReport, delta_e00, metric_csv_lines, mse_map, psnr, sam, ssim
-from .solver import InitMode, SolverConfig, SolverMode, report_csv_lines, unfold_solve
+from .solver import InitMode, SolverConfig, report_csv_lines, unfold_solve
 from .svt import svt_full, svt_gram
 
 
@@ -47,6 +47,20 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+# The operator flags, by LrspConfig field.  A flag that has no CLI default
+# of its own and is left unset is absent from the parsed namespace, so its
+# field keeps LrspConfig's default.
+_LRSP_FLAGS = {
+    "probes": int, "inner_steps": int, "tau0": float, "gamma": float, "tau_min": float,
+    "beta1": float, "c_beta": float, "nu": float, "mu": float, "seed": int,
+}
+
+
+def _lrsp_fields(args) -> dict:
+    """The LrspConfig fields that the parsed operator flags set."""
+    return {name: getattr(args, name) for name in _LRSP_FLAGS if hasattr(args, name)}
 
 
 def _build_parser() -> _Parser:
@@ -81,17 +95,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--rank", type=int)
     p.add_argument("--kappa", type=int)
     p.add_argument("--theta", type=float, default=0.1)
-    p.add_argument("--probes", type=int, default=8)
-    p.add_argument("--inner-steps", type=int, default=3)
-    p.add_argument("--tau0", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--tau-min", type=float, default=0.1)
-    p.add_argument("--beta1", type=float, default=0.5)
-    p.add_argument("--c-beta", type=float, default=0.5)
-    p.add_argument("--nu", type=float, default=10.0)
-    p.add_argument("--mu", type=float, default=0.5)
+    for name, kind in _LRSP_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
     p.add_argument("--init", choices=[m.value for m in InitMode], default="pseudoinverse")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--mse-map", dest="mse_map")
@@ -105,7 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--kappa", type=int)
-    p.add_argument("--probes", type=int, default=8)
+    p.add_argument("--probes", type=int, default=argparse.SUPPRESS)
     p.add_argument("--inner-steps", type=int, default=1)
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--out", required=True)
@@ -124,14 +130,15 @@ def _cmd_synth(args) -> int:
         noise_sigma=args.noise, seed=args.seed,
     )
     scene = synth_scene(spec)
-    write_cube(args.out, scene)
+    # Everything is built before the first write, so a failure writes nothing.
     if args.out_rgb or args.out_phi:
-        s = synth_css(spec.b)
-        ell = flat_illuminant(spec.b)
-        if args.out_rgb:
-            write_rgb(args.out_rgb, render_rgb(scene, s, ell))
-        if args.out_phi:
-            save_phi(args.out_phi, make_phi(s, ell))
+        op = make_phi(synth_css(spec.b), flat_illuminant(spec.b))
+        rgb = apply_phi(op, scene) if args.out_rgb else None
+    write_cube(args.out, scene)
+    if args.out_rgb:
+        write_rgb(args.out_rgb, rgb)
+    if args.out_phi:
+        save_phi(args.out_phi, op)
     return 0
 
 
@@ -174,22 +181,13 @@ def _cmd_reconstruct(args) -> int:
     if args.mse_map and not args.ref:
         fail("--mse-map requires --ref")
     eta = args.eta if args.eta == "auto" else float(args.eta)
-    if args.exact:
-        mode = SolverMode.EXACT
-        lrsp = None
-    else:
-        mode = SolverMode.SUBSPACE
+    lrsp = None
+    if not args.exact:
         if args.rank is None or args.kappa is None:
             fail("--rank and --kappa are required without --exact")
-        lrsp = LrspConfig(
-            r=args.rank, kappa=args.kappa, theta=args.theta, probes=args.probes,
-            inner_steps=args.inner_steps, tau0=args.tau0, gamma=args.gamma,
-            tau_min=args.tau_min, beta1=args.beta1, c_beta=args.c_beta,
-            nu=args.nu, seed=args.seed,
-        )
+        lrsp = LrspConfig(r=args.rank, kappa=args.kappa, theta=args.theta, **_lrsp_fields(args))
     config = SolverConfig(
-        stages=args.stages, eta=eta, lam=args.lam, lrsp=lrsp,
-        init=InitMode(args.init), mode=mode, memory_mu=args.mu,
+        stages=args.stages, eta=eta, lam=args.lam, lrsp=lrsp, init=InitMode(args.init)
     )
     cube, report = unfold_solve(rgb, op, config)
     err_map = None
@@ -214,11 +212,8 @@ def _cmd_svt_bench(args) -> int:
     warm = np.random.default_rng(0).standard_normal((args.d, args.n))
     svt_full(warm, args.theta)
     svt_gram(warm, args.theta)
-    base_cfg = LrspConfig(
-        r=args.r, kappa=kappa, theta=args.theta, probes=args.probes,
-        inner_steps=args.inner_steps,
-    )
-    lrsp_apply(warm, base_cfg, LrspState(beta=base_cfg.beta1))
+    base_cfg = LrspConfig(r=args.r, kappa=kappa, theta=args.theta, **_lrsp_fields(args))
+    lrsp_apply(warm, base_cfg)
     for seed in range(args.seeds):
         a = np.random.default_rng(seed).standard_normal((args.d, args.n))
         t0 = time.perf_counter_ns()
@@ -227,12 +222,9 @@ def _cmd_svt_bench(args) -> int:
         t0 = time.perf_counter_ns()
         gram = svt_gram(a, args.theta)
         t_gram = time.perf_counter_ns() - t0
-        cfg = LrspConfig(
-            r=args.r, kappa=kappa, theta=args.theta, probes=args.probes,
-            inner_steps=args.inner_steps, seed=seed,
-        )
+        cfg = dataclasses.replace(base_cfg, seed=seed)
         t0 = time.perf_counter_ns()
-        out, _, _ = lrsp_apply(a, cfg, LrspState(beta=cfg.beta1))
+        out, _, _ = lrsp_apply(a, cfg)
         t_lrsp = time.perf_counter_ns() - t0
         ref_norm = np.linalg.norm(ref)
         rel_gram = float(np.linalg.norm(gram - ref) / ref_norm)

@@ -37,10 +37,15 @@ _HEADER = struct.Struct("<4sIII")
 
 def atomic_write_bytes(path, payload: bytes) -> None:
     """Write via a uniquely named temp file in the same directory, then
-    rename it into place; on any failure the temp file is removed."""
+    rename it into place; on any failure the temp file is removed.  A temp
+    file that cannot be opened raises the same OSError subclass, naming
+    ``path`` instead of the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from None
     try:
         with fh:
             fh.write(payload)

@@ -88,11 +88,9 @@ class Illuminant:
 
 @dataclass(frozen=True)
 class ForwardOperator:
-    """Linear spectra-to-RGB map, optionally carrying its (S, ell) factors."""
+    """Linear spectra-to-RGB map: the 3 x B matrix phi."""
 
     phi: np.ndarray
-    sensitivity: Sensitivity | None = None
-    illuminant: Illuminant | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _readonly(self.phi))
@@ -100,15 +98,6 @@ class ForwardOperator:
             raise DimensionError(f"phi must be 3 x B, got {self.phi.shape}")
         if not np.all(np.isfinite(self.phi)):
             raise ValueError("phi entries must be finite")
-        if (self.sensitivity is None) != (self.illuminant is None):
-            raise ValueError("factors must be given together or not at all")
-        if self.sensitivity is not None:
-            if self.sensitivity.bands != self.bands or self.illuminant.bands != self.bands:
-                raise DimensionError("factor band counts do not match phi")
-            expected = self.sensitivity.matrix * self.illuminant.spectrum[None, :]
-            scale = np.abs(expected).max()
-            if not np.allclose(self.phi, expected, rtol=1e-12, atol=1e-12 * (scale + 1.0)):
-                raise ValueError("phi is inconsistent with its S * diag(ell) factorization")
 
     @property
     def bands(self) -> int:
@@ -192,8 +181,7 @@ def make_phi(s: Sensitivity, ell: Illuminant) -> ForwardOperator:
         raise DimensionError(f"band counts differ: sensitivity {s.bands}, illuminant {ell.bands}")
     if not np.array_equal(s.wavelengths, ell.wavelengths):
         raise DimensionError("sensitivity and illuminant wavelength grids differ")
-    phi = s.matrix * ell.spectrum[None, :]
-    return ForwardOperator(phi, sensitivity=s, illuminant=ell)
+    return ForwardOperator(s.matrix * ell.spectrum[None, :])
 
 
 def apply_phi(op: ForwardOperator, y: SpectralCube) -> RgbImage:

@@ -7,6 +7,11 @@ and fuse the inner proposals by their estimated projection residuals.  Every
 random element is drawn from seeded generators, so repeated calls with the
 same inputs are bitwise identical.
 
+Every setting lives in :class:`LrspConfig`, the importance-memory decay
+``mu`` included; :class:`LrspState` carries only what one application hands
+the next (the gate argument and the importance memory), and
+:func:`lrsp_apply` starts from ``config.beta1`` when it is given no state.
+
 The shrink of the r x n coordinates is :func:`specrank.svt.svt_gram` (an
 ``eigh`` of their r x r Gram matrix, with a stated error bound and a LAPACK
 fall-back); :func:`specrank.svt.svt_full` stays the reference it is tested
@@ -28,7 +33,7 @@ from scipy.special import expit
 from .errors import DegenerateSelectionError, DimensionError, NumericError
 # svt_full is not called here; it stays a module attribute because
 # perfbench/tracing.py wraps specrank.lrsp.svt_full.
-from .svt import svt_full, svt_gram
+from .svt import _as_matrix, svt_full, svt_gram
 
 # Gate argument whose sigmoid rounds to exactly 1.0 in double precision while
 # keeping the state finite; used for the exactness regime.
@@ -44,8 +49,9 @@ class LrspConfig:
     probe count for the residual estimate, and ``inner_steps`` the number of
     proposals generated and fused per application.  The temperature follows
     ``max(tau_min, tau0 * gamma**(t-1))``; ``beta1`` seeds the cumulative
-    gate argument which grows by ``c_beta * (1 - rho)`` per inner step, and
-    ``nu`` sharpens the residual-aware fusion.
+    gate argument which grows by ``c_beta * (1 - rho)`` per inner step,
+    ``nu`` sharpens the residual-aware fusion, and ``mu`` is the decay of the
+    column-importance memory carried from one application to the next.
     """
 
     r: int
@@ -59,8 +65,8 @@ class LrspConfig:
     beta1: float = 0.5
     c_beta: float = 0.5
     nu: float = 10.0
+    mu: float = 0.5
     seed: int = 0
-    eps: float = 1e-12
 
     def __post_init__(self):
         if self.r < 1 or self.kappa < 1 or self.probes < 1 or self.inner_steps < 1:
@@ -79,10 +85,10 @@ class LrspConfig:
             raise ValueError("c_beta must be >= 0")
         if not self.nu > 0.0:
             raise ValueError("nu must be > 0")
+        if not 0.0 <= self.mu <= 1.0:
+            raise ValueError("mu must lie in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be > 0")
 
 
 @dataclass(frozen=True)
@@ -90,18 +96,16 @@ class LrspState:
     """Cross-call state: cumulative gate argument and the importance memory.
 
     ``memory_g`` is the exponential moving average of column importances from
-    previous applications (None before the first one); ``mu`` is its decay.
+    previous applications (None before the first one); its decay is
+    ``LrspConfig.mu``.
     """
 
     beta: float
     memory_g: np.ndarray | None = None
-    mu: float = 0.5
 
     def __post_init__(self):
         if not np.isfinite(self.beta):
             raise ValueError("beta must be finite")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
         if self.memory_g is not None:
             mem = np.array(self.memory_g, dtype=float, copy=True)
             if mem.ndim != 1:
@@ -188,41 +192,17 @@ class LrspDiagnostics:
     total_elapsed_ns: int
 
 
-def diagnostics_lines(stage: int, diag: LrspDiagnostics) -> list[str]:
-    """Serialize one application's diagnostics, one CSV line per inner step."""
-    lines = []
-    for s in diag.steps:
-        fields = (
-            str(stage),
-            str(s.t),
-            format(s.tau, ".17g"),
-            format(s.beta, ".17g"),
-            format(s.rho_hat, ".17g"),
-            format(s.weight, ".17g"),
-            str(s.elapsed_ns),
-        )
-        lines.append(",".join(fields))
-    return lines
-
-
-def _as_matrix(u) -> np.ndarray:
-    a = np.asarray(u, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a d x n matrix, got shape {a.shape}")
-    return a
-
-
 def _check_finite(x: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"matrix entries must be finite ({what} is not)")
 
 
-def column_importance(u, state: LrspState) -> np.ndarray:
+def column_importance(u, memory_g, mu: float) -> np.ndarray:
     """Per-column importances in (0, 1) from standardized column norms.
 
     The raw importance is the sigmoid of the standardized column l2 norm;
-    when the state carries a memory vector it is blended in with decay
-    ``state.mu`` (the blended vector is also what the memory update stores).
+    when a memory vector is given (not None) it is blended in with decay
+    ``mu`` (the blended vector is also what the memory update stores).
     Raises ValueError when an entry is NaN or infinite (or a column norm
     overflows).
     """
@@ -231,13 +211,13 @@ def column_importance(u, state: LrspState) -> np.ndarray:
     _check_finite(norms, "a column norm")
     z = (norms - norms.mean()) / (norms.std() + 1e-12)
     g = expit(z)
-    if state.memory_g is not None:
-        if state.memory_g.shape != g.shape:
+    if memory_g is not None:
+        memory_g = np.asarray(memory_g, dtype=float)
+        if memory_g.shape != g.shape:
             raise DimensionError(
-                f"memory has {state.memory_g.shape[0]} entries but the matrix has "
-                f"{g.shape[0]} columns"
+                f"memory has {memory_g.shape[0]} entries but the matrix has {g.shape[0]} columns"
             )
-        g = (1.0 - state.mu) * g + state.mu * state.memory_g
+        g = (1.0 - mu) * g + mu * memory_g
     return g
 
 
@@ -366,12 +346,12 @@ def orthonormal_subspace(u, omega: Selector, r: int, seed=0) -> SubspaceBasis:
     return SubspaceBasis(q, r - keep)
 
 
-def residual_ratio(u, q, g, probes: int, seed, eps: float = 1e-12) -> float:
+def residual_ratio(u, q, g, probes: int, seed) -> float:
     """Probed fraction of importance-weighted energy outside span(q).
 
     A seeded Gaussian block of ``probes`` columns is scaled per column by the
     importances and pushed through the matrix; the ratio of the projected
-    residual to the total (plus ``eps``) lands in [0, 1).
+    residual to the total (plus 1e-12) lands in [0, 1).
     """
     a = _as_matrix(u)
     q = np.asarray(q, dtype=float)
@@ -382,26 +362,12 @@ def residual_ratio(u, q, g, probes: int, seed, eps: float = 1e-12) -> float:
         raise DimensionError("importances must have one entry per column")
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    if not eps > 0.0:
-        raise ValueError("eps must be > 0")
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((a.shape[1], probes))
     m = a @ (g[:, None] * xi)
     _check_finite(m, "the probe product")
     resid = m - q @ (q.T @ m)
-    return float(np.linalg.norm(resid) / (np.linalg.norm(m) + eps))
-
-
-def refine_and_increment(rho_tilde: float, config: LrspConfig) -> tuple[float, float]:
-    """Pass the residual estimate through and derive the gate increment.
-
-    The refinement is the identity; the increment ``c_beta * (1 - rho)``
-    grows the gate faster when the subspace captured more energy.
-    """
-    rho_tilde = float(rho_tilde)
-    if not 0.0 <= rho_tilde < 1.0:
-        raise ValueError(f"rho_tilde must lie in [0, 1), got {rho_tilde}")
-    return rho_tilde, config.c_beta * (1.0 - rho_tilde)
+    return float(np.linalg.norm(resid) / (np.linalg.norm(m) + 1e-12))
 
 
 def temperature(t: int, config: LrspConfig) -> float:
@@ -454,17 +420,21 @@ def fusion_weights(rho_hats, nu: float) -> np.ndarray:
     return e / e.sum()
 
 
-def lrsp_apply(u, config: LrspConfig, state: LrspState):
+def lrsp_apply(u, config: LrspConfig, state: LrspState | None = None):
     """Run the full subspace proximal: T inner steps plus fusion.
 
-    Per inner step t: soft column selection at the scheduled temperature,
-    sketch orthonormalization (basis completion seeded by
+    ``state`` is what the previous application returned; None (the first
+    application) starts the gate at ``config.beta1`` with no importance
+    memory.  Per inner step t: soft column selection at the scheduled
+    temperature, sketch orthonormalization (basis completion seeded by
     ``[config.seed, 202, t]``), residual probing (seeded by
-    ``[config.seed, 101, t]``), gate increment, and the gated subspace
-    shrinkage; the scores are seeded by ``config.seed``.  With ``kappa``
-    equal to the column count the selection is uniform over all columns (the
-    soft pivot needs a left-out column), which together with ``r = d`` and a
-    saturated gate reproduces full singular-value thresholding.
+    ``[config.seed, 101, t]``), the gated subspace shrinkage at the current
+    gate argument beta, and then the gate increment ``c_beta * (1 - rho)``
+    with rho the step's probed residual; the scores are seeded by
+    ``config.seed``.  With ``kappa`` equal to the column count the selection
+    is uniform over all columns (the soft pivot needs a left-out column),
+    which together with ``r = d`` and a saturated gate reproduces full
+    singular-value thresholding.
 
     Returns the proposals' sum weighted by :func:`fusion_weights` (formed in
     place; this is the package's only fusion), the advanced state, and
@@ -478,11 +448,12 @@ def lrsp_apply(u, config: LrspConfig, state: LrspState):
     if config.r > d:
         raise DimensionError(f"target rank {config.r} exceeds {d} rows")
 
-    g = column_importance(a, state)
+    if state is None:
+        state = LrspState(beta=config.beta1)
+    g = column_importance(a, state.memory_g, config.mu)
     scores = score_columns(a, config.seed)
     beta = float(state.beta)
     proposals = []
-    rho_hats = []
     records = []
     for t in range(1, config.inner_steps + 1):
         t_step = time.perf_counter_ns()
@@ -493,14 +464,12 @@ def lrsp_apply(u, config: LrspConfig, state: LrspState):
             w = soft_topk(scores, config.kappa, tau)
         omega = build_selector(g, w, config.kappa)
         basis = orthonormal_subspace(a, omega, config.r, seed=[config.seed, 202, t])
-        rho = residual_ratio(a, basis.q, g, config.probes, [config.seed, 101, t], config.eps)
-        rho_hat, delta_beta = refine_and_increment(rho, config)
+        rho = residual_ratio(a, basis.q, g, config.probes, [config.seed, 101, t])
         proposals.append(subspace_proximal(a, basis.q, config.theta, beta))
-        rho_hats.append(rho_hat)
-        records.append((t, tau, beta, rho_hat, basis.n_completed, time.perf_counter_ns() - t_step))
-        beta += delta_beta
+        records.append((t, tau, beta, rho, basis.n_completed, time.perf_counter_ns() - t_step))
+        beta += config.c_beta * (1.0 - rho)
 
-    weights = fusion_weights(rho_hats, config.nu)
+    weights = fusion_weights([rec[3] for rec in records], config.nu)
     # The proposals are fresh arrays owned here: fuse them in place.
     out = proposals[0]
     out *= weights[0]
@@ -520,5 +489,5 @@ def lrsp_apply(u, config: LrspConfig, state: LrspState):
         for rec, wt in zip(records, weights)
     )
     diag = LrspDiagnostics(steps=steps, total_elapsed_ns=time.perf_counter_ns() - t_start)
-    new_state = LrspState(beta=beta, memory_g=g, mu=state.mu)
+    new_state = LrspState(beta=beta, memory_g=g)
     return out, new_state, diag

@@ -1,12 +1,14 @@
 """Unfolded proximal-gradient loop for RGB-to-spectral reconstruction.
 
 Each stage takes a physics-guided gradient step on the data term and applies
-a nuclear-norm proximal to the B x N iterate.  In exact mode that proximal
-is singular-value thresholding with threshold lambda * eta, computed from
-the B x B Gram matrix (:func:`svt_gram`), so every stage is one ISTA step on
-the composite objective; subspace mode runs the budgeted operator of
-:mod:`specrank.lrsp` from the configured budget.  A numeric failure inside
-stage k raises :class:`NumericError` naming the stage.
+a nuclear-norm proximal to the B x N iterate.  A solve is exact exactly when
+``SolverConfig.lrsp`` is None: that proximal is then singular-value
+thresholding with threshold lambda * eta, computed from the B x B Gram
+matrix (:func:`svt_gram`), so every stage is one ISTA step on the composite
+objective.  Otherwise every stage runs the budgeted operator of
+:mod:`specrank.lrsp`, configured by that :class:`LrspConfig` alone and
+threading its state from stage to stage.  A numeric failure inside stage k
+raises :class:`NumericError` naming the stage.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .forward_model import (
     apply_phi_adjoint,
     spectral_norm_sq,
 )
-from .lrsp import LrspConfig, LrspDiagnostics, LrspState, lrsp_apply
+from .lrsp import LrspConfig, LrspDiagnostics, lrsp_apply
 from .svt import nuclear_norm, svt_gram
 
 
@@ -37,19 +39,14 @@ class InitMode(enum.Enum):
     PSEUDOINVERSE = "pseudoinverse"
 
 
-class SolverMode(enum.Enum):
-    SUBSPACE = "subspace"
-    EXACT = "exact"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Static solve parameters.
 
     ``eta`` is "auto" (reciprocal of the squared spectral norm of phi), a
     single positive step size, or one per stage.  ``lrsp`` configures the
-    subspace proximal; exact mode ignores it and may omit it.
-    ``memory_mu`` is the decay of the cross-stage importance memory.
+    budgeted subspace proximal; None selects exact singular-value
+    thresholding.
     """
 
     stages: int
@@ -57,18 +54,12 @@ class SolverConfig:
     lam: float = 0.0
     lrsp: LrspConfig | None = None
     init: InitMode = InitMode.PSEUDOINVERSE
-    mode: SolverMode = SolverMode.SUBSPACE
-    memory_mu: float = 0.5
 
     def __post_init__(self):
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError("lam must be finite and >= 0")
-        if not 0.0 <= self.memory_mu <= 1.0:
-            raise ValueError("memory_mu must lie in [0, 1]")
-        if self.mode is SolverMode.SUBSPACE and self.lrsp is None:
-            raise ValueError("subspace mode requires an LrspConfig")
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise ValueError(f"eta must be 'auto', a number, or a sequence, got {self.eta!r}")
@@ -183,8 +174,7 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     t_start = time.perf_counter_ns()
     etas = _resolve_eta(config, op)
     y = initialize(x, op, config.init)
-    exact = config.mode is SolverMode.EXACT
-    state = None if exact else LrspState(beta=config.lrsp.beta1, mu=config.memory_mu)
+    state = None
 
     objectives = []
     fidelities = []
@@ -200,7 +190,7 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 u = analyze(gradient_step(y, op, x, eta_k))
-                if exact:
+                if config.lrsp is None:
                     t_prox = time.perf_counter_ns()
                     out = svt_gram(u, config.lam * eta_k)
                     diag = LrspDiagnostics(steps=(), total_elapsed_ns=time.perf_counter_ns() - t_prox)

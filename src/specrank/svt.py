@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionError
+
 _EPS = np.finfo(float).eps
 # Below this Gram trace the squared entries lose precision to underflow.
 _MIN_GRAM_TRACE = np.finfo(float).tiny / _EPS
@@ -35,9 +37,10 @@ def _check_threshold(theta: float) -> float:
 
 
 def _as_matrix(m) -> np.ndarray:
+    """``m`` as a float array; DimensionError unless it is 2-d."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+        raise DimensionError(f"expected a 2-d matrix, got shape {a.shape}")
     return a
 
 
@@ -57,15 +60,6 @@ def _gram_eigh(a: np.ndarray):
         return None
     lam, v = np.linalg.eigh(g)
     return lam, v, wide
-
-
-def soft_threshold(v, theta: float) -> np.ndarray:
-    """Elementwise soft shrinkage sign(v) * max(|v| - theta, 0)."""
-    theta = _check_threshold(theta)
-    a = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("soft_threshold input must be finite")
-    return np.sign(a) * np.maximum(np.abs(a) - theta, 0.0)
 
 
 def svt_full(m, theta: float) -> np.ndarray:

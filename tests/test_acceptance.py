@@ -19,12 +19,11 @@ from specrank.forward_model import (
     make_phi,
     spectral_norm_sq,
 )
-from specrank.lrsp import EXACT_GATE_BETA, LrspConfig, LrspState, lrsp_apply, temperature
+from specrank.lrsp import EXACT_GATE_BETA, LrspConfig, lrsp_apply, temperature
 from specrank.metrics import ciede2000_lab, mse_map, psnr, sam
 from specrank.solver import (
     InitMode,
     SolverConfig,
-    SolverMode,
     initialize,
     objective,
     unfold_solve,
@@ -50,7 +49,7 @@ def test_acceptance_svt_oracle_equivalence():
             r=32, kappa=64, theta=0.5, inner_steps=1, c_beta=0.0,
             beta1=EXACT_GATE_BETA, seed=i,
         )
-        out, _, _ = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+        out, _, _ = lrsp_apply(u, cfg)
         ref = svt_full(u, 0.5)
         worst = max(worst, float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
     elapsed = time.perf_counter() - t0
@@ -77,7 +76,7 @@ def test_acceptance_subspace_fidelity():
             r=8, kappa=64, theta=0.5, inner_steps=3, c_beta=0.0,
             beta1=EXACT_GATE_BETA, seed=i,
         )
-        out, _, _ = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+        out, _, _ = lrsp_apply(u, cfg)
         lrsp_errs.append(float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
 
         g = np.random.default_rng([2000, i]).standard_normal((256, 8))
@@ -102,7 +101,7 @@ def test_acceptance_ista_descent():
         op = ForwardOperator(rng.uniform(0.0, 1.0, (3, 8)))
         y_true = SpectralCube(rng.uniform(0.0, 1.0, (8, 128)), 8, 16)
         x = apply_phi(op, y_true)
-        cfg = SolverConfig(stages=30, lam=0.05, init=InitMode.ZEROS, mode=SolverMode.EXACT)
+        cfg = SolverConfig(stages=30, lam=0.05, init=InitMode.ZEROS)
         _, report = unfold_solve(x, op, cfg)
         start = objective(initialize(x, op, InitMode.ZEROS), op, x, 0.05)
         trail = (start,) + report.objectives
@@ -135,7 +134,7 @@ def test_acceptance_complexity_slopes():
     svt_times = []
     warm = np.random.default_rng(0).standard_normal((64, 1024))
     cfg_warm = LrspConfig(r=8, kappa=64, theta=0.5, inner_steps=1)
-    lrsp_apply(warm, cfg_warm, LrspState(beta=cfg_warm.beta1))
+    lrsp_apply(warm, cfg_warm)
     svt_full(warm, 0.5)
     for n in sizes:
         u = np.random.default_rng(n).standard_normal((64, n))
@@ -144,7 +143,7 @@ def test_acceptance_complexity_slopes():
         reps_s = []
         for _ in range(5):
             t = time.perf_counter()
-            lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+            lrsp_apply(u, cfg)
             reps_l.append(time.perf_counter() - t)
             t = time.perf_counter()
             svt_full(u, 0.5)
@@ -171,18 +170,14 @@ def test_acceptance_end_to_end_recovery():
     lam = 1e-3
     eta = 1.0 / spectral_norm_sq(op)
 
-    exact_cfg = SolverConfig(
-        stages=30, lam=lam, init=InitMode.PSEUDOINVERSE, mode=SolverMode.EXACT
-    )
+    exact_cfg = SolverConfig(stages=30, lam=lam, init=InitMode.PSEUDOINVERSE)
     y_exact, rep_exact = unfold_solve(x, op, exact_cfg)
 
     lrsp = LrspConfig(
         r=8, kappa=64, theta=lam * eta, inner_steps=3, c_beta=0.0,
         beta1=EXACT_GATE_BETA, seed=0,
     )
-    sub_cfg = SolverConfig(
-        stages=30, lam=lam, lrsp=lrsp, init=InitMode.PSEUDOINVERSE, mode=SolverMode.SUBSPACE
-    )
+    sub_cfg = SolverConfig(stages=30, lam=lam, lrsp=lrsp, init=InitMode.PSEUDOINVERSE)
     y_sub, rep_sub = unfold_solve(x, op, sub_cfg)
 
     psnr_exact = psnr(scene, y_exact)
@@ -278,7 +273,7 @@ def test_acceptance_schedule_arithmetic():
     cfg = LrspConfig(
         r=3, kappa=8, theta=0.2, inner_steps=10, c_beta=0.7, beta1=0.5, seed=2
     )
-    _, state, diag = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+    _, state, diag = lrsp_apply(u, cfg)
     beta = 0.5
     betas_ok = True
     for step in diag.steps:

@@ -4,6 +4,7 @@ import pytest
 from specrank.cli import run
 from specrank.data_io import load_phi, read_cube, read_rgb, save_phi, write_rgb
 from specrank.forward_model import ForwardOperator, apply_phi
+from specrank.lrsp import LrspConfig
 
 
 def _synth(tmp_path, name="scene", bands=12, size=16, rank=3, noise=0.0, seed=0):
@@ -267,6 +268,15 @@ def test_synth_missing_output_directory_exits_3_and_writes_nothing(tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("extra", ["--out-rgb", "--out-phi"])
+def test_synth_too_few_bands_exits_2_and_writes_nothing(tmp_path, capsys, extra):
+    code = run(["synth", "--bands", "2", "--size", "8", "--rank", "1",
+                "--out", str(tmp_path / "s.hsc"), extra, str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: usage: need at least 3 bands\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mismatched_ref_exits_2_and_writes_nothing(tmp_path, capsys):
     _, rgb_p, phi_p = _synth(tmp_path, name="big", size=32)
     small_p, _, _ = _synth(tmp_path, name="small", size=16)
@@ -331,3 +341,75 @@ def test_svt_bench_report_layout(tmp_path):
         if fields[0] == "gram":
             assert rel <= 1e-8
         assert int(fields[6]) > 0
+
+
+# Every operator flag set away from its default.
+_OPERATOR_FLAGS = [
+    "--theta", "0.05", "--probes", "5", "--inner-steps", "2", "--tau0", "2.0",
+    "--gamma", "0.7", "--tau-min", "0.2", "--beta1", "0.8", "--c-beta", "0.3",
+    "--nu", "5.0", "--mu", "0.3", "--seed", "7",
+]
+
+
+@pytest.mark.parametrize(
+    ("mode", "objective", "cube_norm"),
+    [
+        (["--exact"], 0.18386263168489936, 74.70387177856416),
+        (["--rank", "2", "--kappa", "48", *_OPERATOR_FLAGS], 902.1824439657278, 76.4352856639846),
+    ],
+    ids=["exact", "subspace-every-flag"],
+)
+def test_reconstruct_frozen_final_objective_and_cube_norm(tmp_path, mode, objective, cube_norm):
+    _, rgb_p, phi_p = _synth(tmp_path, bands=31, size=32, rank=4, noise=0.02, seed=4)
+    out_p = tmp_path / "o.hsc"
+    report_p = tmp_path / "r.csv"
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), "--stages", "5",
+                "--lambda", "0.002", *mode, "--out", str(out_p), "--report", str(report_p)])
+    assert code == 0
+    final = float(report_p.read_text().strip().splitlines()[-1].split(",")[1])
+    assert final == pytest.approx(objective, rel=1e-9)
+    assert float(np.linalg.norm(read_cube(out_p).data)) == pytest.approx(cube_norm, rel=1e-9)
+
+
+class _Captured(Exception):
+    """Carries the SolverConfig that reconstruct hands to the solver."""
+
+
+def _solver_config(tmp_path, monkeypatch, flags):
+    _, rgb_p, phi_p = _synth(tmp_path, size=8)
+
+    def capture(x, op, config):
+        raise _Captured(config)
+
+    monkeypatch.setattr("specrank.cli.unfold_solve", capture)
+    with pytest.raises(_Captured) as info:
+        run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), *flags,
+             "--out", str(tmp_path / "o.hsc")])
+    return info.value.args[0]
+
+
+def test_reconstruct_unset_operator_flags_take_the_config_defaults(tmp_path, monkeypatch):
+    config = _solver_config(tmp_path, monkeypatch, ["--rank", "8", "--kappa", "64"])
+    assert config.lrsp == LrspConfig(r=8, kappa=64, theta=0.1)
+
+
+def test_reconstruct_exact_solves_without_an_operator_config(tmp_path, monkeypatch):
+    config = _solver_config(tmp_path, monkeypatch, ["--exact"])
+    assert config.lrsp is None
+
+
+@pytest.mark.parametrize(
+    ("flag", "field", "value"),
+    [
+        ("--theta", "theta", 0.25), ("--probes", "probes", 5), ("--inner-steps", "inner_steps", 2),
+        ("--tau0", "tau0", 2.0), ("--gamma", "gamma", 0.7), ("--tau-min", "tau_min", 0.2),
+        ("--beta1", "beta1", 0.8), ("--c-beta", "c_beta", 0.3), ("--nu", "nu", 5.0),
+        ("--mu", "mu", 0.3), ("--seed", "seed", 7),
+    ],
+)
+def test_reconstruct_operator_flag_sets_its_field(tmp_path, monkeypatch, flag, field, value):
+    config = _solver_config(
+        tmp_path, monkeypatch, ["--rank", "8", "--kappa", "64", flag, str(value)]
+    )
+    want = {"r": 8, "kappa": 64, "theta": 0.1, field: value}
+    assert config.lrsp == LrspConfig(**want)

@@ -8,6 +8,7 @@ from specrank.data_io import (
     CUBE_MAGIC,
     SceneSpec,
     atomic_write_bytes,
+    atomic_write_text,
     flat_illuminant,
     load_phi,
     read_cube,
@@ -76,6 +77,17 @@ def test_atomic_write_failure_leaves_directory_unchanged(tmp_path):
         atomic_write_bytes(tmp_path / "target", b"payload")
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert list((tmp_path / "target").iterdir()) == []
+
+
+def test_atomic_write_open_failure_names_the_output_path(tmp_path):
+    (tmp_path / "afile").write_text("x")
+    out = tmp_path / "afile" / "out.csv"
+    with pytest.raises(NotADirectoryError) as info:
+        atomic_write_text(out, "x")
+    assert info.value.filename == str(out)
+    assert ".tmp" not in str(info.value)
+    assert [q.name for q in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "x"
 
 
 def test_atomic_write_replaces_and_leaves_no_temp_file(tmp_path):

@@ -237,13 +237,6 @@ def test_sensitivity_rejects_negative_and_dead_channels():
         _sensitivity([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
 
 
-def test_operator_rejects_inconsistent_factors():
-    s = _sensitivity(np.ones((3, 2)), wl=[500.0, 510.0])
-    ell = Illuminant([1.0, 1.0], [500.0, 510.0])
-    with pytest.raises(ValueError):
-        ForwardOperator(np.full((3, 2), 1.5), sensitivity=s, illuminant=ell)
-
-
 def test_cube_shape_validation():
     with pytest.raises(DimensionError):
         SpectralCube(np.zeros((4, 6)), 2, 4)  # N != h * w

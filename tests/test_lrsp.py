@@ -11,11 +11,9 @@ from specrank.lrsp import (
     Selector,
     build_selector,
     column_importance,
-    diagnostics_lines,
     fusion_weights,
     lrsp_apply,
     orthonormal_subspace,
-    refine_and_increment,
     residual_ratio,
     score_columns,
     soft_topk,
@@ -44,7 +42,7 @@ def _gram_bound(b, theta):
 
 def test_importance_is_half_for_equal_columns():
     u = np.ones((5, 6))
-    g = column_importance(u, LrspState(beta=0.5))
+    g = column_importance(u, None, 0.5)
     assert np.array_equal(g, np.full(6, 0.5))
 
 
@@ -52,7 +50,7 @@ def test_importance_peaks_on_the_dominant_column():
     u = np.ones((4, 5))
     u = u.copy()
     u[:, 2] = 10.0
-    g = column_importance(u, LrspState(beta=0.5))
+    g = column_importance(u, None, 0.5)
     assert g.argmax() == 2
     assert np.all((g > 0) & (g < 1))
 
@@ -61,23 +59,23 @@ def test_importance_memory_blend_endpoints():
     rng = np.random.default_rng(0)
     u = rng.standard_normal((6, 8))
     mem = rng.uniform(0.0, 1.0, 8)
-    raw = column_importance(u, LrspState(beta=1.0))
-    assert np.array_equal(column_importance(u, LrspState(beta=1.0, memory_g=mem, mu=0.0)), raw)
-    assert np.array_equal(column_importance(u, LrspState(beta=1.0, memory_g=mem, mu=1.0)), mem)
+    raw = column_importance(u, None, 0.5)
+    assert np.array_equal(column_importance(u, mem, 0.0), raw)
+    assert np.array_equal(column_importance(u, mem, 1.0), mem)
 
 
 def test_importance_memory_blend_interior():
     rng = np.random.default_rng(1)
     u = rng.standard_normal((6, 8))
     mem = rng.uniform(0.0, 1.0, 8)
-    raw = column_importance(u, LrspState(beta=1.0))
-    got = column_importance(u, LrspState(beta=1.0, memory_g=mem, mu=0.25))
+    raw = column_importance(u, None, 0.25)
+    got = column_importance(u, mem, 0.25)
     assert np.allclose(got, 0.75 * raw + 0.25 * mem, rtol=1e-15)
 
 
 def test_importance_rejects_mismatched_memory():
     with pytest.raises(DimensionError):
-        column_importance(np.ones((3, 4)), LrspState(beta=1.0, memory_g=np.full(5, 0.5)))
+        column_importance(np.ones((3, 4)), np.full(5, 0.5), 0.5)
 
 
 # -- scoring and soft selection ----------------------------------------------
@@ -315,25 +313,6 @@ def test_residual_ratio_stays_in_range():
         assert 0.0 <= ratio < 1.0
 
 
-def test_refine_and_increment_rule():
-    cfg = _config(c_beta=0.5)
-    rho, delta = refine_and_increment(0.0, cfg)
-    assert (rho, delta) == (0.0, 0.5)
-    rho, delta = refine_and_increment(0.5, cfg)
-    assert rho == 0.5
-    assert delta == 0.25
-    _, delta = refine_and_increment(0.999999, cfg)
-    assert 0.0 < delta < 1e-5
-    assert refine_and_increment(0.3, _config(c_beta=0.0))[1] == 0.0
-
-
-def test_refine_and_increment_rejects_out_of_range():
-    cfg = _config()
-    for bad in [-0.1, 1.0, 1.5]:
-        with pytest.raises(ValueError):
-            refine_and_increment(bad, cfg)
-
-
 def test_temperature_schedule_values():
     cfg = _config(tau0=1.0, gamma=0.5, tau_min=0.1)
     assert temperature(1, cfg) == 1.0
@@ -422,7 +401,7 @@ def test_fusion_weights_rejects_bad_input():
 
 def test_lrsp_apply_zero_matrix():
     cfg = _config(r=3, kappa=5, theta=0.5, inner_steps=2, c_beta=0.5, beta1=0.5)
-    out, state, diag = lrsp_apply(np.zeros((6, 8)), cfg, LrspState(beta=cfg.beta1))
+    out, state, diag = lrsp_apply(np.zeros((6, 8)), cfg)
     assert np.array_equal(out, np.zeros((6, 8)))
     assert all(s.rho_hat == 0.0 for s in diag.steps)
     assert all(s.n_completed == 3 for s in diag.steps)
@@ -436,7 +415,7 @@ def test_lrsp_apply_full_budget_saturated_gate_matches_svt():
     cfg = LrspConfig(
         r=16, kappa=24, theta=0.5, inner_steps=1, c_beta=0.0, beta1=EXACT_GATE_BETA, seed=3
     )
-    out, _, _ = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+    out, _, _ = lrsp_apply(u, cfg)
     ref = svt_full(u, 0.5)
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -445,7 +424,7 @@ def test_lrsp_apply_recovers_low_rank_input_at_zero_theta():
     rng = np.random.default_rng(22)
     u = rng.standard_normal((10, 4)) @ rng.standard_normal((4, 30))
     cfg = _config(r=4, kappa=30, theta=0.0, inner_steps=3)
-    out, _, _ = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+    out, _, _ = lrsp_apply(u, cfg)
     assert np.linalg.norm(out - u) <= 1e-8 * np.linalg.norm(u)
 
 
@@ -455,9 +434,8 @@ def test_lrsp_apply_output_is_fusion_weighted_sum_of_proposals():
     rng = np.random.default_rng(19)
     u = rng.standard_normal((10, 40))
     cfg = _config(r=3, kappa=12, theta=0.4, inner_steps=3, c_beta=0.7, seed=5)
-    state = LrspState(beta=cfg.beta1)
-    out, _, diag = lrsp_apply(u, cfg, state)
-    g = column_importance(u, state)
+    out, _, diag = lrsp_apply(u, cfg)
+    g = column_importance(u, None, cfg.mu)
     scores = score_columns(u, cfg.seed)
     beta = cfg.beta1
     proposals = []
@@ -465,11 +443,10 @@ def test_lrsp_apply_output_is_fusion_weighted_sum_of_proposals():
     for t in (1, 2, 3):
         omega = build_selector(g, soft_topk(scores, cfg.kappa, temperature(t, cfg)), cfg.kappa)
         q = orthonormal_subspace(u, omega, cfg.r, seed=[cfg.seed, 202, t]).q
-        rho = residual_ratio(u, q, g, cfg.probes, [cfg.seed, 101, t], cfg.eps)
-        rho_hat, delta_beta = refine_and_increment(rho, cfg)
+        rho = residual_ratio(u, q, g, cfg.probes, [cfg.seed, 101, t])
         proposals.append(subspace_proximal(u, q, cfg.theta, beta))
-        rho_hats.append(rho_hat)
-        beta += delta_beta
+        rho_hats.append(rho)
+        beta += cfg.c_beta * (1.0 - rho)
     weights = fusion_weights(rho_hats, cfg.nu)
     assert [s.weight for s in diag.steps] == list(weights)
     want = sum(w * p for w, p in zip(weights, proposals))
@@ -480,8 +457,8 @@ def test_lrsp_apply_is_bitwise_deterministic():
     rng = np.random.default_rng(23)
     u = rng.standard_normal((9, 15))
     cfg = _config(r=3, kappa=7, inner_steps=3, seed=9)
-    out1, st1, d1 = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
-    out2, st2, d2 = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+    out1, st1, d1 = lrsp_apply(u, cfg)
+    out2, st2, d2 = lrsp_apply(u, cfg)
     assert np.array_equal(out1, out2)
     assert st1.beta == st2.beta
     assert [s.rho_hat for s in d1.steps] == [s.rho_hat for s in d2.steps]
@@ -492,7 +469,7 @@ def test_lrsp_apply_output_rank_bounded():
     rng = np.random.default_rng(24)
     u = rng.standard_normal((12, 40))
     cfg = _config(r=3, kappa=10, theta=0.5, inner_steps=2)
-    out, _, _ = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+    out, _, _ = lrsp_apply(u, cfg)
     assert numerical_rank(out) <= 6
 
 
@@ -501,7 +478,7 @@ def test_lrsp_apply_never_expands_the_norm():
     for seed in range(8):
         u = rng.standard_normal((8, 20))
         cfg = _config(r=4, kappa=12, theta=0.3, inner_steps=2, seed=seed)
-        out, _, _ = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+        out, _, _ = lrsp_apply(u, cfg)
         assert np.linalg.norm(out) <= np.linalg.norm(u) + 1e-9
 
 
@@ -509,7 +486,7 @@ def test_lrsp_apply_gate_grows_monotonically():
     rng = np.random.default_rng(26)
     u = rng.standard_normal((10, 18))
     cfg = _config(r=4, kappa=9, inner_steps=4, c_beta=0.7, beta1=0.5)
-    _, state, diag = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+    _, state, diag = lrsp_apply(u, cfg)
     betas = [s.beta for s in diag.steps]
     assert betas[0] == 0.5
     assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
@@ -520,21 +497,19 @@ def test_lrsp_apply_memory_threads_through_states():
     rng = np.random.default_rng(27)
     u1 = rng.standard_normal((7, 11))
     u2 = rng.standard_normal((7, 11))
-    cfg = _config(r=3, kappa=6)
-    _, st1, _ = lrsp_apply(u1, cfg, LrspState(beta=cfg.beta1, mu=0.3))
-    assert np.array_equal(st1.memory_g, column_importance(u1, LrspState(beta=cfg.beta1, mu=0.3)))
+    cfg = _config(r=3, kappa=6, mu=0.3)
+    _, st1, _ = lrsp_apply(u1, cfg)
+    assert np.array_equal(st1.memory_g, column_importance(u1, None, 0.3))
     _, st2, _ = lrsp_apply(u2, cfg, st1)
-    expected = column_importance(u2, LrspState(beta=st1.beta, memory_g=st1.memory_g, mu=0.3))
-    assert np.array_equal(st2.memory_g, expected)
-    assert st2.mu == 0.3
+    assert np.array_equal(st2.memory_g, column_importance(u2, st1.memory_g, 0.3))
 
 
 def test_lrsp_apply_validates_dimensions():
     cfg = _config(r=3, kappa=6)
     with pytest.raises(DimensionError):
-        lrsp_apply(np.ones((8, 5)), cfg, LrspState(beta=0.5))  # kappa > n
+        lrsp_apply(np.ones((8, 5)), cfg)  # kappa > n
     with pytest.raises(DimensionError):
-        lrsp_apply(np.ones((2, 8)), cfg, LrspState(beta=0.5))  # r > d
+        lrsp_apply(np.ones((2, 8)), cfg)  # r > d
     with pytest.raises(DimensionError):
         lrsp_apply(np.ones((8, 8)), cfg, LrspState(beta=0.5, memory_g=np.full(3, 0.5)))
 
@@ -546,14 +521,14 @@ def _omega():
 # Every public helper that reads columns of the matrix, called with the
 # matrix; the bad entry goes into column 4, which each of them reads.
 NON_FINITE_CALLS = {
-    "column_importance": lambda u: column_importance(u, LrspState(beta=0.5)),
+    "column_importance": lambda u: column_importance(u, None, 0.5),
     "score_columns": lambda u: score_columns(u, 3),
     "sparse_pool": lambda u: sparse_pool(u, _omega()),
     "orthonormal_subspace": lambda u: orthonormal_subspace(u, _omega(), 2),
     "residual_ratio": lambda u: residual_ratio(u, np.eye(6)[:, :2], np.full(9, 0.5), 4, 0),
     "subspace_proximal": lambda u: subspace_proximal(u, np.eye(6)[:, :2], 0.5, 1.0),
     "subspace_proximal-theta0": lambda u: subspace_proximal(u, np.eye(6)[:, :2], 0.0, 1.0),
-    "lrsp_apply": lambda u: lrsp_apply(u, _config(r=2, kappa=4), LrspState(beta=0.5)),
+    "lrsp_apply": lambda u: lrsp_apply(u, _config(r=2, kappa=4)),
 }
 
 
@@ -572,20 +547,11 @@ def test_lrsp_diagnostics_contents_and_serialization():
     rng = np.random.default_rng(28)
     u = rng.standard_normal((8, 12))
     cfg = _config(r=3, kappa=6, inner_steps=3)
-    _, _, diag = lrsp_apply(u, cfg, LrspState(beta=cfg.beta1))
+    _, _, diag = lrsp_apply(u, cfg)
     assert [s.t for s in diag.steps] == [1, 2, 3]
     assert [s.tau for s in diag.steps] == [temperature(t, cfg) for t in (1, 2, 3)]
     assert sum(s.weight for s in diag.steps) == pytest.approx(1.0, abs=1e-12)
     assert diag.total_elapsed_ns >= sum(s.elapsed_ns for s in diag.steps) >= 0
-    lines = diagnostics_lines(4, diag)
-    assert len(lines) == 3
-    for line, step in zip(lines, diag.steps):
-        fields = line.split(",")
-        assert len(fields) == 7
-        assert fields[0] == "4"
-        assert int(fields[1]) == step.t
-        assert float(fields[2]) == step.tau
-        assert float(fields[4]) == step.rho_hat
 
 
 def test_config_validation():
@@ -601,12 +567,12 @@ def test_config_validation():
         LrspConfig(r=2, kappa=4, theta=0.1, inner_steps=0)
     with pytest.raises(ValueError):
         LrspConfig(r=2, kappa=4, theta=0.1, tau_min=0.0)
+    with pytest.raises(ValueError, match="mu must lie in"):
+        LrspConfig(r=2, kappa=4, theta=0.1, mu=1.5)
 
 
 def test_state_validation():
     with pytest.raises(ValueError):
         LrspState(beta=float("nan"))
-    with pytest.raises(ValueError):
-        LrspState(beta=0.5, mu=1.5)
     with pytest.raises(ValueError):
         LrspState(beta=0.5, memory_g=np.array([0.5, 1.5]))

@@ -6,7 +6,6 @@ from specrank.forward_model import ForwardOperator, RgbImage, SpectralCube, appl
 from specrank.solver import (
     InitMode,
     SolverConfig,
-    SolverMode,
     analyze,
     data_fidelity,
     gradient_step,
@@ -159,7 +158,7 @@ def test_objective_matches_naive_evaluation():
 def test_unfold_zero_image_stays_at_zero():
     op, _, _ = _problem(8)
     x = RgbImage(np.zeros((3, 32)), 4, 8)
-    cfg = SolverConfig(stages=4, lam=0.1, init=InitMode.ZEROS, mode=SolverMode.EXACT)
+    cfg = SolverConfig(stages=4, lam=0.1, init=InitMode.ZEROS)
     y, report = unfold_solve(x, op, cfg)
     assert np.array_equal(y.data, np.zeros((8, 32)))
     assert all(o == 0.0 for o in report.objectives)
@@ -167,7 +166,7 @@ def test_unfold_zero_image_stays_at_zero():
 
 def test_unfold_fixed_point_without_regularization():
     op, y_true, x = _problem(9)
-    cfg = SolverConfig(stages=5, lam=0.0, init=InitMode.PSEUDOINVERSE, mode=SolverMode.EXACT)
+    cfg = SolverConfig(stages=5, lam=0.0, init=InitMode.PSEUDOINVERSE)
     y, report = unfold_solve(x, op, cfg)
     y0 = initialize(x, op, InitMode.PSEUDOINVERSE)
     assert np.linalg.norm(y.data - y0.data) <= 1e-8 * np.linalg.norm(y0.data)
@@ -182,8 +181,6 @@ def test_unfold_exact_mode_equals_hand_rolled_ista():
         stages=5,
         lam=lam,
         init=InitMode.ZEROS,
-        mode=SolverMode.EXACT,
-        lrsp=LrspConfig(r=2, kappa=4, theta=9.9),  # ignored in exact mode
     )
     y, report = unfold_solve(x, op, cfg)
     eta = report.eta[0]
@@ -199,7 +196,7 @@ def test_unfold_exact_mode_never_runs_the_budgeted_operator(monkeypatch):
 
     monkeypatch.setattr("specrank.solver.lrsp_apply", refuse)
     op, _, x = _problem(18)
-    cfg = SolverConfig(stages=4, lam=0.05, init=InitMode.ZEROS, mode=SolverMode.EXACT)
+    cfg = SolverConfig(stages=4, lam=0.05, init=InitMode.ZEROS)
     _, report = unfold_solve(x, op, cfg)
     assert len(report.lrsp) == 4
     assert all(d.steps == () and d.total_elapsed_ns > 0 for d in report.lrsp)
@@ -211,7 +208,7 @@ def test_unfold_exact_mode_objective_descends():
         op = ForwardOperator(rng.uniform(0.0, 1.0, (3, 8)))
         y_true = SpectralCube(rng.uniform(0.0, 1.0, (8, 128)), 8, 16)
         x = apply_phi(op, y_true)
-        cfg = SolverConfig(stages=15, lam=0.05, init=InitMode.ZEROS, mode=SolverMode.EXACT)
+        cfg = SolverConfig(stages=15, lam=0.05, init=InitMode.ZEROS)
         y, report = unfold_solve(x, op, cfg)
         start = objective(initialize(x, op, InitMode.ZEROS), op, x, 0.05)
         trail = (start,) + report.objectives
@@ -239,7 +236,7 @@ def test_unfold_flags_divergence_for_oversized_steps():
     from specrank.forward_model import spectral_norm_sq
 
     eta = 2.1 / spectral_norm_sq(op)
-    cfg = SolverConfig(stages=40, eta=eta, lam=0.0, init=InitMode.ADJOINT, mode=SolverMode.EXACT)
+    cfg = SolverConfig(stages=40, eta=eta, lam=0.0, init=InitMode.ADJOINT)
     with pytest.warns(UserWarning, match="tenfold"):
         y, report = unfold_solve(x, op, cfg)
     assert report.diverged
@@ -249,7 +246,7 @@ def test_unfold_flags_divergence_for_oversized_steps():
 
 def test_unfold_stable_run_is_not_flagged():
     op, _, x = _problem(14)
-    cfg = SolverConfig(stages=40, lam=0.0, init=InitMode.ADJOINT, mode=SolverMode.EXACT)
+    cfg = SolverConfig(stages=40, lam=0.0, init=InitMode.ADJOINT)
     _, report = unfold_solve(x, op, cfg)
     assert not report.diverged
     assert report.diverged_stage is None
@@ -260,7 +257,7 @@ def test_eta_resolution_modes():
     from specrank.forward_model import spectral_norm_sq
 
     _, auto_report = unfold_solve(
-        x, op, SolverConfig(stages=3, lam=0.0, init=InitMode.ZEROS, mode=SolverMode.EXACT)
+        x, op, SolverConfig(stages=3, lam=0.0, init=InitMode.ZEROS)
     )
     assert len(set(auto_report.eta)) == 1
     assert auto_report.eta[0] == pytest.approx(1.0 / spectral_norm_sq(op), rel=1e-8)
@@ -268,7 +265,7 @@ def test_eta_resolution_modes():
     _, rep = unfold_solve(
         x,
         op,
-        SolverConfig(stages=3, eta=per_stage, lam=0.0, init=InitMode.ZEROS, mode=SolverMode.EXACT),
+        SolverConfig(stages=3, eta=per_stage, lam=0.0, init=InitMode.ZEROS),
     )
     assert rep.eta == per_stage
 
@@ -276,7 +273,7 @@ def test_eta_resolution_modes():
 def test_report_csv_shape():
     op, _, x = _problem(16)
     _, report = unfold_solve(
-        x, op, SolverConfig(stages=4, lam=0.01, init=InitMode.ZEROS, mode=SolverMode.EXACT)
+        x, op, SolverConfig(stages=4, lam=0.01, init=InitMode.ZEROS)
     )
     lines = report_csv_lines(report)
     assert lines[0] == "stage,objective,fidelity,elapsed_ns"
@@ -293,8 +290,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(stages=0, lrsp=lrsp)
     with pytest.raises(ValueError):
-        SolverConfig(stages=3)  # subspace mode without an LrspConfig
-    with pytest.raises(ValueError):
         SolverConfig(stages=3, lrsp=lrsp, eta=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(stages=3, lrsp=lrsp, eta=(0.1, 0.2))
@@ -308,7 +303,7 @@ def test_auto_eta_rejects_zero_operator():
     op = ForwardOperator(np.zeros((3, 6)))
     x = RgbImage(np.zeros((3, 4)), 2, 2)
     with pytest.raises(NumericError):
-        unfold_solve(x, op, SolverConfig(stages=2, lam=0.0, init=InitMode.ZEROS, mode=SolverMode.EXACT))
+        unfold_solve(x, op, SolverConfig(stages=2, lam=0.0, init=InitMode.ZEROS))
 
 
 def test_proximal_value_error_is_a_numeric_error_naming_the_stage(monkeypatch):
@@ -333,6 +328,6 @@ def test_proximal_value_error_is_a_numeric_error_naming_the_stage(monkeypatch):
 def test_unfold_reduces_nuclear_norm_with_regularization():
     op, y_true, x = _problem(17)
     y0 = initialize(x, op, InitMode.PSEUDOINVERSE)
-    cfg = SolverConfig(stages=20, lam=0.5, init=InitMode.PSEUDOINVERSE, mode=SolverMode.EXACT)
+    cfg = SolverConfig(stages=20, lam=0.5, init=InitMode.PSEUDOINVERSE)
     y, _ = unfold_solve(x, op, cfg)
     assert nuclear_norm(y.data) < nuclear_norm(y0.data)

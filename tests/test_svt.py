@@ -1,29 +1,7 @@
 import numpy as np
 import pytest
 
-from specrank.svt import nuclear_norm, numerical_rank, soft_threshold, svt_full, svt_gram
-
-
-def test_soft_threshold_definition():
-    out = soft_threshold([3.0, 1.0, -2.0], 1.0)
-    assert np.allclose(out, [2.0, 0.0, -1.0])
-
-
-def test_soft_threshold_zero_theta_is_identity():
-    v = np.array([0.3, -4.0, 2.5, 0.0])
-    assert np.array_equal(soft_threshold(v, 0.0), v)
-
-
-def test_soft_threshold_large_theta_kills_everything():
-    v = np.array([0.3, -4.0, 2.5])
-    assert np.array_equal(soft_threshold(v, 4.0), np.zeros(3))
-
-
-def test_soft_threshold_rejects_bad_theta():
-    with pytest.raises(ValueError):
-        soft_threshold([1.0], -0.1)
-    with pytest.raises(ValueError):
-        soft_threshold([1.0], float("nan"))
+from specrank.svt import nuclear_norm, numerical_rank, svt_full, svt_gram
 
 
 def test_svt_full_diagonal_case():
@@ -56,6 +34,13 @@ def test_svt_full_is_the_proximal_minimizer():
 def test_svt_full_rejects_non_matrix():
     with pytest.raises(ValueError):
         svt_full(np.zeros(3), 0.1)
+
+
+@pytest.mark.parametrize("svt", [svt_full, svt_gram])
+@pytest.mark.parametrize("theta", [-0.1, float("nan"), float("inf")])
+def test_svt_rejects_a_negative_or_non_finite_threshold(svt, theta):
+    with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+        svt(np.eye(3), theta)
 
 
 def test_nuclear_norm_values():
