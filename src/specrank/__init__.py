@@ -11,7 +11,6 @@ from .data_io import (
     load_phi,
     read_cube,
     read_rgb,
-    render_rgb,
     save_phi,
     synth_css,
     synth_scene,

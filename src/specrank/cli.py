@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--exact", action="store_true", help="exact SVT proximal, one ISTA step per stage")
     p.add_argument("--rank", type=int)
     p.add_argument("--kappa", type=int)
-    p.add_argument("--theta", type=float, default=0.1)
+    p.add_argument("--theta", type=float)
     for name, kind in _LRSP_FLAGS.items():
         p.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
     p.add_argument("--init", choices=[m.value for m in InitMode], default="pseudoinverse")
@@ -176,6 +176,13 @@ def _cmd_reconstruct(args) -> int:
     def fail(msg):
         raise UsageError(msg)
 
+    if args.exact:
+        given = [
+            "--" + name.replace("_", "-") for name in ("rank", "kappa", "theta", *_LRSP_FLAGS)
+            if getattr(args, name, None) is not None
+        ]
+        if given:
+            fail(f"--exact takes no operator flags, got {', '.join(given)}")
     rgb = read_rgb(args.rgb)
     op = _resolve_operator(args, fail)
     if args.mse_map and not args.ref:
@@ -185,7 +192,8 @@ def _cmd_reconstruct(args) -> int:
     if not args.exact:
         if args.rank is None or args.kappa is None:
             fail("--rank and --kappa are required without --exact")
-        lrsp = LrspConfig(r=args.rank, kappa=args.kappa, theta=args.theta, **_lrsp_fields(args))
+        theta = 0.1 if args.theta is None else args.theta
+        lrsp = LrspConfig(r=args.rank, kappa=args.kappa, theta=theta, **_lrsp_fields(args))
     config = SolverConfig(
         stages=args.stages, eta=eta, lam=args.lam, lrsp=lrsp, init=InitMode(args.init)
     )

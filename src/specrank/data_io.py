@@ -27,8 +27,6 @@ from .forward_model import (
     RgbImage,
     Sensitivity,
     SpectralCube,
-    apply_phi,
-    make_phi,
 )
 
 CUBE_MAGIC = b"HSC1"
@@ -206,8 +204,3 @@ def synth_scene(spec: SceneSpec) -> SpectralCube:
     if spec.noise_sigma > 0.0:
         cube = cube + rng.normal(0.0, spec.noise_sigma, cube.shape)
     return SpectralCube(np.clip(cube, 0.0, 1.0), spec.h, spec.w)
-
-
-def render_rgb(y: SpectralCube, s: Sensitivity, ell: Illuminant) -> RgbImage:
-    """Render through the forward operator; delegates to the single model."""
-    return apply_phi(make_phi(s, ell), y)

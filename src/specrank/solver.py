@@ -3,12 +3,13 @@
 Each stage takes a physics-guided gradient step on the data term and applies
 a nuclear-norm proximal to the B x N iterate.  A solve is exact exactly when
 ``SolverConfig.lrsp`` is None: that proximal is then singular-value
-thresholding with threshold lambda * eta, computed from the B x B Gram
-matrix (:func:`svt_gram`), so every stage is one ISTA step on the composite
-objective.  Otherwise every stage runs the budgeted operator of
-:mod:`specrank.lrsp`, configured by that :class:`LrspConfig` alone and
-threading its state from stage to stage.  A numeric failure inside stage k
-raises :class:`NumericError` naming the stage.
+thresholding with threshold lambda * eta from the B x B Gram matrix
+(:func:`svt_gram`), one ISTA step per stage on the composite objective.
+Otherwise every stage runs the budgeted operator of :mod:`specrank.lrsp`,
+configured by that :class:`LrspConfig` alone and threading its state from
+stage to stage.  The loop runs on plain matrices with one residual per stage:
+inputs are checked on entry, the iterate once per stage (a failure in stage k
+is a :class:`NumericError` naming it), and the cube is built on return.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def objective(y: SpectralCube, op: ForwardOperator, x: RgbImage, lam: float) -> 
     return data_fidelity(y, op, x) + lam * nuclear_norm(y.data)
 
 
-# analyze and synthesize are kept as functions: perfbench/tracing.py wraps both.
+# No caller: analyze and synthesize stay because perfbench/tracing.py wraps both.
 def analyze(y: SpectralCube) -> np.ndarray:
     """The cube's B x N matrix, not copied: the proximals never write their input."""
     return y.data
@@ -157,9 +158,10 @@ def synthesize(u: np.ndarray, h: int, w: int) -> SpectralCube:
 def _resolve_eta(config: SolverConfig, op: ForwardOperator) -> tuple[float, ...]:
     if isinstance(config.eta, str):
         sigma_sq = spectral_norm_sq(op)
-        if sigma_sq <= 0.0:
-            raise NumericError("cannot pick a step size for a zero forward operator")
-        return (1.0 / sigma_sq,) * config.stages
+        eta = 1.0 / sigma_sq if sigma_sq > 0.0 else np.inf
+        if not np.isfinite(eta):
+            raise NumericError(f"no finite step size 1/||phi||^2 for ||phi||^2 = {sigma_sq:.3g}")
+        return (eta,) * config.stages
     if np.isscalar(config.eta):
         return (float(config.eta),) * config.stages
     return tuple(config.eta)
@@ -168,19 +170,24 @@ def _resolve_eta(config: SolverConfig, op: ForwardOperator) -> tuple[float, ...]
 def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     """Run the staged reconstruction; returns the final cube and its report.
 
-    A warning (and report flags) mark divergence: the iterate norm exceeding
-    ten times the early-iterate scale, which a too-large step size produces.
+    The iterate y and its residual ``phi @ y - x`` stay plain arrays between
+    the checks on entry and the cube (fresh, read-only) built on return.  The
+    objective's nuclear norm, which raises on a NaN or infinite entry, is the
+    only finiteness check on the iterate.  A warning (and report flags) mark
+    divergence: the iterate norm exceeding ten times the early-iterate scale,
+    which a too-large step size produces.
     """
     t_start = time.perf_counter_ns()
     etas = _resolve_eta(config, op)
-    y = initialize(x, op, config.init)
+    y = initialize(x, op, config.init).data
+    r = op.phi @ y - x.data
     state = None
 
     objectives = []
     fidelities = []
     elapsed = []
     diags = []
-    norm_trail = [float(np.linalg.norm(y.data))]
+    norm_trail = [float(np.linalg.norm(y))]
     diverged_stage = None
     for k in range(1, config.stages + 1):
         t_stage = time.perf_counter_ns()
@@ -189,17 +196,17 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
         # NumericError, so numpy's overflow warnings would only add stderr lines.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                u = analyze(gradient_step(y, op, x, eta_k))
+                # gradient_step and objective() on one shared residual
+                u = y - eta_k * (op.phi.T @ r)
                 if config.lrsp is None:
                     t_prox = time.perf_counter_ns()
-                    out = svt_gram(u, config.lam * eta_k)
+                    y = svt_gram(u, config.lam * eta_k)
                     diag = LrspDiagnostics(steps=(), total_elapsed_ns=time.perf_counter_ns() - t_prox)
                 else:
-                    out, state, diag = lrsp_apply(u, config.lrsp, state)
-                y = synthesize(out, x.h, x.w)
-                # objective(), with the fidelity kept for the report
-                fid = data_fidelity(y, op, x)
-                obj = fid + config.lam * nuclear_norm(y.data)
+                    y, state, diag = lrsp_apply(u, config.lrsp, state)
+                r = op.phi @ y - x.data
+                fid = 0.5 * float(np.linalg.norm(r) ** 2)
+                obj = fid + config.lam * nuclear_norm(y)
             except DimensionError:
                 raise  # a budget or rank that does not fit the cube is a usage error
             except ValueError as e:
@@ -210,7 +217,7 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
             fidelities.append(fid)
             diags.append(diag)
             elapsed.append(time.perf_counter_ns() - t_stage)
-            norm_trail.append(float(np.linalg.norm(y.data)))
+            norm_trail.append(float(np.linalg.norm(y)))
         if diverged_stage is None and k >= 2:
             baseline = max(norm_trail[0], norm_trail[1], 1e-30)
             if norm_trail[-1] > 10.0 * baseline:
@@ -231,4 +238,4 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
         diverged=diverged_stage is not None,
         diverged_stage=diverged_stage,
     )
-    return y, report
+    return SpectralCube(y, x.h, x.w), report

@@ -413,3 +413,43 @@ def test_reconstruct_operator_flag_sets_its_field(tmp_path, monkeypatch, flag, f
     )
     want = {"r": 8, "kappa": 64, "theta": 0.1, field: value}
     assert config.lrsp == LrspConfig(**want)
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [("--rank", "8"), ("--kappa", "64"), ("--theta", "0.1"), ("--probes", "0"),
+     ("--inner-steps", "2"), ("--tau0", "2.0"), ("--gamma", "0.7"), ("--tau-min", "0.2"),
+     ("--beta1", "0.8"), ("--c-beta", "0.3"), ("--nu", "5.0"), ("--mu", "1.5"), ("--seed", "7")],
+)
+def test_reconstruct_exact_with_an_operator_flag_exits_2_before_reading(
+    tmp_path, capsys, monkeypatch, flag, value
+):
+    _, rgb_p, phi_p = _synth(tmp_path, size=8)
+    before = sorted(tmp_path.iterdir())
+
+    def no_read(path):
+        raise AssertionError("no input may be read")
+
+    monkeypatch.setattr("specrank.cli.read_rgb", no_read)
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), "--exact", flag, value,
+                "--out", str(tmp_path / "o.hsc")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: usage: --exact takes no operator flags, got {flag}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("init", ["zeros", "adjoint", "pseudoinverse"])
+def test_auto_step_size_of_a_vanishing_operator_exits_4(tmp_path, capsys, init):
+    _, rgb_p, phi_p = _synth(tmp_path, bands=31, size=8)
+    tiny_p = tmp_path / "tiny.csv"
+    save_phi(tiny_p, ForwardOperator(1e-160 * load_phi(phi_p).phi))
+    before = sorted(tmp_path.iterdir())
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(tiny_p), "--exact",
+                "--init", init, "--out", str(tmp_path / "o.hsc")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric: no finite step size")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before

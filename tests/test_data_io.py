@@ -13,7 +13,6 @@ from specrank.data_io import (
     load_phi,
     read_cube,
     read_rgb,
-    render_rgb,
     save_phi,
     synth_css,
     synth_scene,
@@ -297,17 +296,10 @@ def test_synth_scene_validation():
         synth_scene(SceneSpec(b=8, h=4, w=4, rank=2, noise_sigma=-0.1))
 
 
-def test_render_rgb_delegates_to_the_operator():
-    y = synth_scene(SceneSpec(b=16, h=4, w=4, rank=2, seed=6))
-    s = synth_css(16)
-    ell = flat_illuminant(16)
-    direct = apply_phi(make_phi(s, ell), y)
-    assert np.array_equal(render_rgb(y, s, ell).data, direct.data)
-
-
 def test_render_rgb_scales_linearly_with_illuminant():
     y = synth_scene(SceneSpec(b=8, h=3, w=3, rank=2, seed=7))
     s = synth_css(8)
     ell = flat_illuminant(8)
     doubled = Illuminant(2.0 * ell.spectrum, ell.wavelengths)
-    assert np.array_equal(render_rgb(y, s, doubled).data, 2.0 * render_rgb(y, s, ell).data)
+    render = apply_phi(make_phi(s, doubled), y).data
+    assert np.array_equal(render, 2.0 * apply_phi(make_phi(s, ell), y).data)

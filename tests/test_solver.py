@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from specrank.data_io import SceneSpec, flat_illuminant, synth_css, synth_scene
 from specrank.errors import DimensionError, NumericError
-from specrank.forward_model import ForwardOperator, RgbImage, SpectralCube, apply_phi
+from specrank.forward_model import (
+    ForwardOperator,
+    RgbImage,
+    SpectralCube,
+    apply_phi,
+    make_phi,
+    spectral_norm_sq,
+)
 from specrank.solver import (
     InitMode,
     SolverConfig,
@@ -15,8 +23,8 @@ from specrank.solver import (
     synthesize,
     unfold_solve,
 )
-from specrank.lrsp import LrspConfig
-from specrank.svt import nuclear_norm, svt_full
+from specrank.lrsp import LrspConfig, LrspDiagnostics, lrsp_apply
+from specrank.svt import nuclear_norm, svt_full, svt_gram
 
 
 def _problem(seed, b=8, h=4, w=8):
@@ -50,10 +58,7 @@ def test_gradient_step_matches_dense_formula():
     assert np.array_equal(out.data, want)
 
 
-def test_gradient_step_builds_two_containers(monkeypatch):
-    # the observation apply_phi returns and the result; the residual and the
-    # back-projection stay plain arrays
-    op, y, x = _problem(22)
+def _count_containers(monkeypatch):
     built = []
     for cls in (SpectralCube, RgbImage):
         original = cls.__post_init__
@@ -63,6 +68,14 @@ def test_gradient_step_builds_two_containers(monkeypatch):
             original(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+def test_gradient_step_builds_two_containers(monkeypatch):
+    # the observation apply_phi returns and the result; the residual and the
+    # back-projection stay plain arrays
+    op, y, x = _problem(22)
+    built = _count_containers(monkeypatch)
     gradient_step(y, op, x, 0.1)
     assert sorted(built) == ["RgbImage", "SpectralCube"]
 
@@ -233,8 +246,6 @@ def test_unfold_subspace_mode_runs_and_reports():
 
 def test_unfold_flags_divergence_for_oversized_steps():
     op, y_true, x = _problem(13)
-    from specrank.forward_model import spectral_norm_sq
-
     eta = 2.1 / spectral_norm_sq(op)
     cfg = SolverConfig(stages=40, eta=eta, lam=0.0, init=InitMode.ADJOINT)
     with pytest.warns(UserWarning, match="tenfold"):
@@ -254,8 +265,6 @@ def test_unfold_stable_run_is_not_flagged():
 
 def test_eta_resolution_modes():
     op, _, x = _problem(15)
-    from specrank.forward_model import spectral_norm_sq
-
     _, auto_report = unfold_solve(
         x, op, SolverConfig(stages=3, lam=0.0, init=InitMode.ZEROS)
     )
@@ -331,3 +340,132 @@ def test_unfold_reduces_nuclear_norm_with_regularization():
     cfg = SolverConfig(stages=20, lam=0.5, init=InitMode.PSEUDOINVERSE)
     y, _ = unfold_solve(x, op, cfg)
     assert nuclear_norm(y.data) < nuclear_norm(y0.data)
+
+
+# -- the former stage loop, kept as the reference of unfold_solve -------------
+
+
+def _reference_solve(x, op, config):
+    """The stage loop as it was built on containers: gradient_step, proximal,
+    a SpectralCube per stage, then data_fidelity and nuclear_norm."""
+    etas = (1.0 / spectral_norm_sq(op),) * config.stages
+    y = initialize(x, op, config.init)
+    state = None
+    objectives, fidelities, diags = [], [], []
+    for k in range(config.stages):
+        u = gradient_step(y, op, x, etas[k]).data
+        if config.lrsp is None:
+            out, diag = svt_gram(u, config.lam * etas[k]), LrspDiagnostics((), 0)
+        else:
+            out, state, diag = lrsp_apply(u, config.lrsp, state)
+        y = SpectralCube(out, x.h, x.w)
+        fid = data_fidelity(y, op, x)
+        objectives.append(fid + config.lam * nuclear_norm(y.data))
+        fidelities.append(fid)
+        diags.append(diag)
+    return y, tuple(objectives), tuple(fidelities), etas, diags
+
+
+def _untimed(diag):
+    return [(s.t, s.tau, s.beta, s.rho_hat, s.weight, s.n_completed) for s in diag.steps]
+
+
+_REFERENCE_PROXIMALS = {
+    "exact": None,
+    "subspace": LrspConfig(r=8, kappa=64, theta=0.1, inner_steps=3),
+    "subspace-every-field": LrspConfig(
+        r=2, kappa=32, theta=0.01, probes=5, inner_steps=2, tau0=2.0, gamma=0.7,
+        tau_min=0.2, beta1=0.8, c_beta=0.3, nu=5.0, mu=0.3, seed=7,
+    ),
+}
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01], ids=["clean", "noisy"])
+@pytest.mark.parametrize("init", list(InitMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("proximal", list(_REFERENCE_PROXIMALS))
+def test_unfold_solve_equals_the_container_loop_bit_for_bit(proximal, init, noise):
+    scene = synth_scene(SceneSpec(b=31, h=16, w=16, rank=4, noise_sigma=noise, seed=3))
+    op = make_phi(synth_css(31), flat_illuminant(31))
+    x = apply_phi(op, scene)
+    config = SolverConfig(stages=12, lam=0.001, lrsp=_REFERENCE_PROXIMALS[proximal], init=init)
+    y, report = unfold_solve(x, op, config)
+    want_y, want_obj, want_fid, want_eta, want_diags = _reference_solve(x, op, config)
+    assert np.array_equal(y.data, want_y.data)
+    assert report.objectives == want_obj
+    assert report.fidelities == want_fid
+    assert report.eta == want_eta
+    assert [_untimed(d) for d in report.lrsp] == [_untimed(d) for d in want_diags]
+
+
+@pytest.mark.parametrize(
+    "lrsp", [None, LrspConfig(r=2, kappa=8, theta=0.01)], ids=["exact", "subspace"]
+)
+@pytest.mark.parametrize("stages", [1, 12])
+def test_unfold_solve_builds_two_containers_at_any_stage_count(monkeypatch, stages, lrsp):
+    # the seed cube of initialize and the returned cube
+    op, _, x = _problem(24)
+    built = _count_containers(monkeypatch)
+    unfold_solve(x, op, SolverConfig(stages=stages, lam=0.01, lrsp=lrsp))
+    assert built == ["SpectralCube", "SpectralCube"]
+
+
+class _CountingPhi(np.ndarray):
+    """An operator matrix that counts the products taken with it and its transpose."""
+
+    def __array_finalize__(self, obj):
+        self.counts = getattr(obj, "counts", None)  # shared with the views, phi.T included
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and isinstance(inputs[0], _CountingPhi):
+            self.counts["adjoint" if inputs[0].shape[0] > 3 else "forward"] += 1
+        plain = [np.asarray(a) if isinstance(a, _CountingPhi) else a for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("stages", [1, 12])
+def test_unfold_solve_applies_phi_once_per_stage_plus_once(stages):
+    op, _, x = _problem(25)
+    counting = op.phi.view(_CountingPhi)
+    counting.counts = {"forward": 0, "adjoint": 0}
+    object.__setattr__(op, "phi", counting)
+    unfold_solve(x, op, SolverConfig(stages=stages, lam=0.01, init=InitMode.ZEROS))
+    assert counting.counts == {"forward": stages + 1, "adjoint": stages}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("proximal", ["svt_gram", "lrsp_apply"])
+def test_non_finite_proximal_output_is_a_numeric_error_naming_the_stage(
+    monkeypatch, proximal, bad
+):
+    import specrank.solver
+
+    real = getattr(specrank.solver, proximal)
+    calls = []
+
+    def poison_second(u, *args):
+        calls.append(1)
+        result = real(u, *args)
+        out = result if proximal == "svt_gram" else result[0]
+        if len(calls) == 2:
+            out[1, 2] = bad
+        return result
+
+    monkeypatch.setattr(f"specrank.solver.{proximal}", poison_second)
+    op, _, x = _problem(26)
+    lrsp = LrspConfig(r=2, kappa=8, theta=0.01) if proximal == "lrsp_apply" else None
+    with pytest.raises(NumericError, match="^stage 2: "):
+        unfold_solve(x, op, SolverConfig(stages=3, lam=0.01, lrsp=lrsp))
+
+
+@pytest.mark.parametrize("init", list(InitMode), ids=lambda m: m.value)
+def test_auto_eta_of_a_vanishing_operator_is_a_numeric_error_before_the_loop(init):
+    op, _, x = _problem(27)
+    tiny = ForwardOperator(1e-160 * op.phi)  # ||phi||^2 is subnormal, 1/||phi||^2 overflows
+    with pytest.raises(NumericError, match="step size"):
+        unfold_solve(x, tiny, SolverConfig(stages=2, lam=0.01, init=init))
+
+
+def test_unfold_solve_returns_a_read_only_cube():
+    op, _, x = _problem(28)
+    y, _ = unfold_solve(x, op, SolverConfig(stages=2, lam=0.01))
+    assert not y.data.flags.writeable and y.data.flags.owndata
