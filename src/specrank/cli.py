@@ -94,7 +94,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--exact", action="store_true", help="exact SVT proximal, one ISTA step per stage")
     p.add_argument("--rank", type=int)
     p.add_argument("--kappa", type=int)
-    p.add_argument("--theta", type=float)
     for name, kind in _LRSP_FLAGS.items():
         p.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
     p.add_argument("--init", choices=[m.value for m in InitMode], default="pseudoinverse")
@@ -149,9 +148,9 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _resolve_operator(args, parser_error):
+def _resolve_operator(args):
     if (args.phi is None) == (args.calibrate_from is None):
-        parser_error("exactly one of --phi and --calibrate-from is required")
+        raise UsageError("exactly one of --phi and --calibrate-from is required")
     if args.phi is not None:
         return load_phi(args.phi)
     rgb_path, cube_path = args.calibrate_from
@@ -163,37 +162,35 @@ _OUTPUTS = ("out", "out_rgb", "out_phi", "report", "mse_map")
 
 
 def _check_output_dirs(args) -> None:
-    """Raise OSError unless every output path given lies in an existing directory."""
+    """Raise OSError unless every output path given is a non-directory in an existing directory."""
     for name in _OUTPUTS:
         path = getattr(args, name, None)
         if path is not None:
             parent = os.path.dirname(os.path.abspath(path))
             if not os.path.isdir(parent):
                 raise FileNotFoundError(f"{path}: {parent} is not an existing directory")
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{path}: is a directory")
 
 
 def _cmd_reconstruct(args) -> int:
-    def fail(msg):
-        raise UsageError(msg)
-
     if args.exact:
         given = [
-            "--" + name.replace("_", "-") for name in ("rank", "kappa", "theta", *_LRSP_FLAGS)
+            "--" + name.replace("_", "-") for name in ("rank", "kappa", *_LRSP_FLAGS)
             if getattr(args, name, None) is not None
         ]
         if given:
-            fail(f"--exact takes no operator flags, got {', '.join(given)}")
+            raise UsageError(f"--exact takes no operator flags, got {', '.join(given)}")
     rgb = read_rgb(args.rgb)
-    op = _resolve_operator(args, fail)
+    op = _resolve_operator(args)
     if args.mse_map and not args.ref:
-        fail("--mse-map requires --ref")
+        raise UsageError("--mse-map requires --ref")
     eta = args.eta if args.eta == "auto" else float(args.eta)
     lrsp = None
     if not args.exact:
         if args.rank is None or args.kappa is None:
-            fail("--rank and --kappa are required without --exact")
-        theta = 0.1 if args.theta is None else args.theta
-        lrsp = LrspConfig(r=args.rank, kappa=args.kappa, theta=theta, **_lrsp_fields(args))
+            raise UsageError("--rank and --kappa are required without --exact")
+        lrsp = LrspConfig(r=args.rank, kappa=args.kappa, **_lrsp_fields(args))
     config = SolverConfig(
         stages=args.stages, eta=eta, lam=args.lam, lrsp=lrsp, init=InitMode(args.init)
     )
@@ -220,8 +217,8 @@ def _cmd_svt_bench(args) -> int:
     warm = np.random.default_rng(0).standard_normal((args.d, args.n))
     svt_full(warm, args.theta)
     svt_gram(warm, args.theta)
-    base_cfg = LrspConfig(r=args.r, kappa=kappa, theta=args.theta, **_lrsp_fields(args))
-    lrsp_apply(warm, base_cfg)
+    base_cfg = LrspConfig(r=args.r, kappa=kappa, **_lrsp_fields(args))
+    lrsp_apply(warm, args.theta, base_cfg)
     for seed in range(args.seeds):
         a = np.random.default_rng(seed).standard_normal((args.d, args.n))
         t0 = time.perf_counter_ns()
@@ -232,7 +229,7 @@ def _cmd_svt_bench(args) -> int:
         t_gram = time.perf_counter_ns() - t0
         cfg = dataclasses.replace(base_cfg, seed=seed)
         t0 = time.perf_counter_ns()
-        out, _, _ = lrsp_apply(a, cfg)
+        out, _, _ = lrsp_apply(a, args.theta, cfg)
         t_lrsp = time.perf_counter_ns() - t0
         ref_norm = np.linalg.norm(ref)
         rel_gram = float(np.linalg.norm(gram - ref) / ref_norm)

@@ -62,6 +62,8 @@ def write_cube(path, y: SpectralCube) -> None:
     for dim in y.dims:
         if dim > 0xFFFFFFFF:
             raise DimensionOverflowError(f"dimension {dim} does not fit a 32-bit field")
+    if max(y.data.max(), -y.data.min()) > np.finfo("<f4").max:
+        raise CubeFormatError(f"{path}: cube values exceed the float32 range of the format")
     header = _HEADER.pack(CUBE_MAGIC, y.bands, y.h, y.w)
     payload = np.ascontiguousarray(y.data, dtype="<f4").tobytes()
     atomic_write_bytes(path, header + payload)
@@ -73,13 +75,13 @@ def read_cube(path) -> SpectralCube:
     if len(raw) < 4 or raw[:4] != CUBE_MAGIC:
         raise BadMagicError(f"{path}: not a cube file (bad magic)")
     if len(raw) < _HEADER.size:
-        raise TruncatedCubeError(_HEADER.size, len(raw))
+        raise TruncatedCubeError(path, _HEADER.size, len(raw))
     _, b, h, w = _HEADER.unpack_from(raw)
     if b == 0 or h == 0 or w == 0:
         raise CubeFormatError(f"{path}: zero dimension in header ({b}, {h}, {w})")
     expected = _HEADER.size + 4 * b * h * w
     if len(raw) < expected:
-        raise TruncatedCubeError(expected, len(raw))
+        raise TruncatedCubeError(path, expected, len(raw))
     if len(raw) > expected:
         raise CubeFormatError(
             f"{path}: {len(raw) - expected} trailing bytes after the declared payload"

@@ -36,8 +36,8 @@ class BadMagicError(CubeFormatError):
 class TruncatedCubeError(CubeFormatError):
     """The payload is shorter than the header promises."""
 
-    def __init__(self, expected: int, actual: int):
-        super().__init__(f"truncated cube file: expected {expected} bytes, found {actual}")
+    def __init__(self, path, expected: int, actual: int):
+        super().__init__(f"{path}: truncated cube file: expected {expected} bytes, found {actual}")
         self.expected = expected
         self.actual = actual
 

@@ -7,10 +7,9 @@ and fuse the inner proposals by their estimated projection residuals.  Every
 random element is drawn from seeded generators, so repeated calls with the
 same inputs are bitwise identical.
 
-Every setting lives in :class:`LrspConfig`, the importance-memory decay
-``mu`` included; :class:`LrspState` carries only what one application hands
-the next (the gate argument and the importance memory), and
-:func:`lrsp_apply` starts from ``config.beta1`` when it is given no state.
+Every setting lives in :class:`LrspConfig`, the memory decay ``mu`` included;
+the threshold is :func:`lrsp_apply`'s ``theta``, as in the SVT kernels, and
+:class:`LrspState` carries the gate and the importance memory between calls.
 
 The shrink of the r x n coordinates is :func:`specrank.svt.svt_gram` (an
 ``eigh`` of their r x r Gram matrix, with a stated error bound and a LAPACK
@@ -33,7 +32,7 @@ from scipy.special import expit
 from .errors import DegenerateSelectionError, DimensionError, NumericError
 # svt_full is not called here; it stays a module attribute because
 # perfbench/tracing.py wraps specrank.lrsp.svt_full.
-from .svt import _as_matrix, svt_full, svt_gram
+from .svt import _as_matrix, _check_threshold, svt_full, svt_gram
 
 # Gate argument whose sigmoid rounds to exactly 1.0 in double precision while
 # keeping the state finite; used for the exactness regime.
@@ -44,10 +43,10 @@ EXACT_GATE_BETA = 50.0
 class LrspConfig:
     """Static parameters of the subspace proximal.
 
-    ``r`` is the target rank, ``kappa`` the column budget, ``theta`` the
-    shrinkage threshold applied in the subspace, ``probes`` the Gaussian
-    probe count for the residual estimate, and ``inner_steps`` the number of
-    proposals generated and fused per application.  The temperature follows
+    ``r`` is the target rank, ``kappa`` the column budget, ``probes`` the
+    Gaussian probe count for the residual estimate, and ``inner_steps`` the
+    number of proposals generated and fused per application (the threshold is
+    :func:`lrsp_apply`'s argument).  The temperature follows
     ``max(tau_min, tau0 * gamma**(t-1))``; ``beta1`` seeds the cumulative
     gate argument which grows by ``c_beta * (1 - rho)`` per inner step,
     ``nu`` sharpens the residual-aware fusion, and ``mu`` is the decay of the
@@ -56,7 +55,6 @@ class LrspConfig:
 
     r: int
     kappa: int
-    theta: float
     probes: int = 8
     inner_steps: int = 3
     tau0: float = 1.0
@@ -73,8 +71,6 @@ class LrspConfig:
             raise ValueError("r, kappa, probes, and inner_steps must all be >= 1")
         if self.r > self.kappa:
             raise ValueError(f"target rank {self.r} exceeds column budget {self.kappa}")
-        if not (np.isfinite(self.theta) and self.theta >= 0.0):
-            raise ValueError("theta must be finite and >= 0")
         if not (self.tau0 > 0.0 and self.tau_min > 0.0):
             raise ValueError("tau0 and tau_min must be > 0")
         if not 0.0 < self.gamma < 1.0:
@@ -420,8 +416,8 @@ def fusion_weights(rho_hats, nu: float) -> np.ndarray:
     return e / e.sum()
 
 
-def lrsp_apply(u, config: LrspConfig, state: LrspState | None = None):
-    """Run the full subspace proximal: T inner steps plus fusion.
+def lrsp_apply(u, theta: float, config: LrspConfig, state: LrspState | None = None):
+    """Run the full subspace proximal at threshold ``theta``: T inner steps plus fusion.
 
     ``state`` is what the previous application returned; None (the first
     application) starts the gate at ``config.beta1`` with no importance
@@ -441,6 +437,7 @@ def lrsp_apply(u, config: LrspConfig, state: LrspState | None = None):
     per-step diagnostics.
     """
     t_start = time.perf_counter_ns()
+    theta = _check_threshold(theta)
     a = _as_matrix(u)
     d, n = a.shape
     if config.kappa > n:
@@ -465,7 +462,7 @@ def lrsp_apply(u, config: LrspConfig, state: LrspState | None = None):
         omega = build_selector(g, w, config.kappa)
         basis = orthonormal_subspace(a, omega, config.r, seed=[config.seed, 202, t])
         rho = residual_ratio(a, basis.q, g, config.probes, [config.seed, 101, t])
-        proposals.append(subspace_proximal(a, basis.q, config.theta, beta))
+        proposals.append(subspace_proximal(a, basis.q, theta, beta))
         records.append((t, tau, beta, rho, basis.n_completed, time.perf_counter_ns() - t_step))
         beta += config.c_beta * (1.0 - rho)
 

@@ -1,15 +1,15 @@
 """Unfolded proximal-gradient loop for RGB-to-spectral reconstruction.
 
-Each stage takes a physics-guided gradient step on the data term and applies
-a nuclear-norm proximal to the B x N iterate.  A solve is exact exactly when
-``SolverConfig.lrsp`` is None: that proximal is then singular-value
-thresholding with threshold lambda * eta from the B x B Gram matrix
-(:func:`svt_gram`), one ISTA step per stage on the composite objective.
+Each stage takes a physics-guided gradient step of size eta_k on the data term
+and applies a nuclear-norm proximal with threshold lambda * eta_k to the B x N
+iterate: one ISTA step per stage on the composite objective.  A solve is exact
+exactly when ``SolverConfig.lrsp`` is None: that proximal is then
+singular-value thresholding from the B x B Gram matrix (:func:`svt_gram`).
 Otherwise every stage runs the budgeted operator of :mod:`specrank.lrsp`,
-configured by that :class:`LrspConfig` alone and threading its state from
-stage to stage.  The loop runs on plain matrices with one residual per stage:
-inputs are checked on entry, the iterate once per stage (a failure in stage k
-is a :class:`NumericError` naming it), and the cube is built on return.
+configured by that :class:`LrspConfig` and threading its state from stage to
+stage.  The loop runs on plain matrices with one residual per stage: inputs are
+checked on entry, the iterate once per stage (a failure in stage k is a
+:class:`NumericError` naming it), and the cube is built on return.
 """
 
 from __future__ import annotations
@@ -170,12 +170,14 @@ def _resolve_eta(config: SolverConfig, op: ForwardOperator) -> tuple[float, ...]
 def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     """Run the staged reconstruction; returns the final cube and its report.
 
-    The iterate y and its residual ``phi @ y - x`` stay plain arrays between
-    the checks on entry and the cube (fresh, read-only) built on return.  The
-    objective's nuclear norm, which raises on a NaN or infinite entry, is the
-    only finiteness check on the iterate.  A warning (and report flags) mark
-    divergence: the iterate norm exceeding ten times the early-iterate scale,
-    which a too-large step size produces.
+    Both modes shrink by ``lam * eta_k``, so each stage descends the reported
+    objective (in subspace mode once ``r`` >= rank(phi)).  The iterate y and
+    its residual ``phi @ y - x`` stay plain arrays between the checks on entry
+    and the cube (fresh, read-only) built on return.  The objective's nuclear
+    norm, which raises on a NaN or infinite entry, is the only finiteness check
+    on the iterate.  A warning (and report flags) mark divergence: the iterate
+    norm exceeding ten times the early-iterate scale, which a too-large step
+    size produces.
     """
     t_start = time.perf_counter_ns()
     etas = _resolve_eta(config, op)
@@ -187,23 +189,24 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     fidelities = []
     elapsed = []
     diags = []
-    norm_trail = [float(np.linalg.norm(y))]
     diverged_stage = None
-    for k in range(1, config.stages + 1):
-        t_stage = time.perf_counter_ns()
-        eta_k = etas[k - 1]
-        # Each stage result below is checked for finiteness and raised as a
-        # NumericError, so numpy's overflow warnings would only add stderr lines.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Each stage result below is checked for finiteness and raised as a
+    # NumericError, so numpy's overflow warnings would only add stderr lines.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_trail = [float(np.linalg.norm(y))]
+        for k in range(1, config.stages + 1):
+            t_stage = time.perf_counter_ns()
+            eta_k = etas[k - 1]
+            theta_k = config.lam * eta_k
             try:
                 # gradient_step and objective() on one shared residual
                 u = y - eta_k * (op.phi.T @ r)
                 if config.lrsp is None:
                     t_prox = time.perf_counter_ns()
-                    y = svt_gram(u, config.lam * eta_k)
+                    y = svt_gram(u, theta_k)
                     diag = LrspDiagnostics(steps=(), total_elapsed_ns=time.perf_counter_ns() - t_prox)
                 else:
-                    y, state, diag = lrsp_apply(u, config.lrsp, state)
+                    y, state, diag = lrsp_apply(u, theta_k, config.lrsp, state)
                 r = op.phi @ y - x.data
                 fid = 0.5 * float(np.linalg.norm(r) ** 2)
                 obj = fid + config.lam * nuclear_norm(y)
@@ -218,10 +221,10 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
             diags.append(diag)
             elapsed.append(time.perf_counter_ns() - t_stage)
             norm_trail.append(float(np.linalg.norm(y)))
-        if diverged_stage is None and k >= 2:
-            baseline = max(norm_trail[0], norm_trail[1], 1e-30)
-            if norm_trail[-1] > 10.0 * baseline:
-                diverged_stage = k
+            if diverged_stage is None and k >= 2:
+                baseline = max(norm_trail[0], norm_trail[1], 1e-30)
+                if norm_trail[-1] > 10.0 * baseline:
+                    diverged_stage = k
     if diverged_stage is not None:
         warnings.warn(
             f"iterate norm grew more than tenfold by stage {diverged_stage}; "

@@ -17,7 +17,6 @@ from specrank.forward_model import (
     apply_phi,
     apply_phi_adjoint,
     make_phi,
-    spectral_norm_sq,
 )
 from specrank.lrsp import EXACT_GATE_BETA, LrspConfig, lrsp_apply, temperature
 from specrank.metrics import ciede2000_lab, mse_map, psnr, sam
@@ -46,10 +45,10 @@ def test_acceptance_svt_oracle_equivalence():
     for i in range(50):
         u = np.random.default_rng(i).standard_normal((32, 64))
         cfg = LrspConfig(
-            r=32, kappa=64, theta=0.5, inner_steps=1, c_beta=0.0,
+            r=32, kappa=64, inner_steps=1, c_beta=0.0,
             beta1=EXACT_GATE_BETA, seed=i,
         )
-        out, _, _ = lrsp_apply(u, cfg)
+        out, _, _ = lrsp_apply(u, 0.5, cfg)
         ref = svt_full(u, 0.5)
         worst = max(worst, float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
     elapsed = time.perf_counter() - t0
@@ -73,10 +72,10 @@ def test_acceptance_subspace_fidelity():
         ref = svt_full(u, 0.5)
 
         cfg = LrspConfig(
-            r=8, kappa=64, theta=0.5, inner_steps=3, c_beta=0.0,
+            r=8, kappa=64, inner_steps=3, c_beta=0.0,
             beta1=EXACT_GATE_BETA, seed=i,
         )
-        out, _, _ = lrsp_apply(u, cfg)
+        out, _, _ = lrsp_apply(u, 0.5, cfg)
         lrsp_errs.append(float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
 
         g = np.random.default_rng([2000, i]).standard_normal((256, 8))
@@ -133,17 +132,17 @@ def test_acceptance_complexity_slopes():
     lrsp_times = []
     svt_times = []
     warm = np.random.default_rng(0).standard_normal((64, 1024))
-    cfg_warm = LrspConfig(r=8, kappa=64, theta=0.5, inner_steps=1)
-    lrsp_apply(warm, cfg_warm)
+    cfg_warm = LrspConfig(r=8, kappa=64, inner_steps=1)
+    lrsp_apply(warm, 0.5, cfg_warm)
     svt_full(warm, 0.5)
     for n in sizes:
         u = np.random.default_rng(n).standard_normal((64, n))
-        cfg = LrspConfig(r=8, kappa=64, theta=0.5, inner_steps=1)
+        cfg = LrspConfig(r=8, kappa=64, inner_steps=1)
         reps_l = []
         reps_s = []
         for _ in range(5):
             t = time.perf_counter()
-            lrsp_apply(u, cfg)
+            lrsp_apply(u, 0.5, cfg)
             reps_l.append(time.perf_counter() - t)
             t = time.perf_counter()
             svt_full(u, 0.5)
@@ -168,13 +167,12 @@ def test_acceptance_end_to_end_recovery():
     op = make_phi(synth_css(16), flat_illuminant(16))
     x = apply_phi(op, scene)
     lam = 1e-3
-    eta = 1.0 / spectral_norm_sq(op)
 
     exact_cfg = SolverConfig(stages=30, lam=lam, init=InitMode.PSEUDOINVERSE)
     y_exact, rep_exact = unfold_solve(x, op, exact_cfg)
 
     lrsp = LrspConfig(
-        r=8, kappa=64, theta=lam * eta, inner_steps=3, c_beta=0.0,
+        r=8, kappa=64, inner_steps=3, c_beta=0.0,
         beta1=EXACT_GATE_BETA, seed=0,
     )
     sub_cfg = SolverConfig(stages=30, lam=lam, lrsp=lrsp, init=InitMode.PSEUDOINVERSE)
@@ -262,7 +260,7 @@ def test_acceptance_metric_oracles():
 
 
 def test_acceptance_schedule_arithmetic():
-    cfg_tau = LrspConfig(r=2, kappa=4, theta=0.1, tau0=1.0, gamma=0.5, tau_min=0.1)
+    cfg_tau = LrspConfig(r=2, kappa=4, tau0=1.0, gamma=0.5, tau_min=0.1)
     taus_ok = (
         temperature(1, cfg_tau) == 1.0
         and temperature(3, cfg_tau) == 0.25
@@ -271,9 +269,9 @@ def test_acceptance_schedule_arithmetic():
 
     u = np.random.default_rng(6).standard_normal((10, 20))
     cfg = LrspConfig(
-        r=3, kappa=8, theta=0.2, inner_steps=10, c_beta=0.7, beta1=0.5, seed=2
+        r=3, kappa=8, inner_steps=10, c_beta=0.7, beta1=0.5, seed=2
     )
-    _, state, diag = lrsp_apply(u, cfg)
+    _, state, diag = lrsp_apply(u, 0.2, cfg)
     beta = 0.5
     betas_ok = True
     for step in diag.steps:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,22 @@ def test_reconstruct_exact_mode_descends(tmp_path):
     assert lines[0] == "stage,objective,fidelity,elapsed_ns"
     objs = [float(line.split(",")[1]) for line in lines[1:]]
     assert len(objs) == 8
+    assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
+
+
+def test_reconstruct_subspace_mode_descends(tmp_path):
+    # rank 8 is at least rank(phi) = 3, so the budget does not bind
+    _, rgb_p, phi_p = _synth(tmp_path, bands=31, size=16, rank=3)
+    report_p = tmp_path / "report.csv"
+    code = run(
+        [
+            "reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), "--rank", "8", "--kappa", "64",
+            "--stages", "6", "--out", str(tmp_path / "recon.hsc"), "--report", str(report_p),
+        ]
+    )
+    assert code == 0
+    objs = [float(line.split(",")[1]) for line in report_p.read_text().strip().splitlines()[1:]]
+    assert len(objs) == 6
     assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
 
 
@@ -268,6 +286,65 @@ def test_synth_missing_output_directory_exits_3_and_writes_nothing(tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["reconstruct --report", "synth --out-phi"])
+def test_output_path_that_is_a_directory_exits_3_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, command
+):
+    _, rgb_p, phi_p = _synth(tmp_path)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    before = sorted(tmp_path.iterdir())
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("no work may start")
+
+    monkeypatch.setattr("specrank.cli.unfold_solve", no_work)
+    monkeypatch.setattr("specrank.cli.synth_scene", no_work)
+    argv = {
+        "reconstruct --report": ["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p),
+                                 "--exact", "--out", str(tmp_path / "y.hsc"), "--report", str(taken)],
+        "synth --out-phi": ["synth", "--bands", "8", "--size", "8", "--rank", "2",
+                            "--out", str(tmp_path / "s.hsc"), "--out-phi", str(taken)],
+    }[command]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == f"error: io: {taken}: is a directory\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert list(taken.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cube_beyond_the_float32_range_exits_3_and_writes_nothing(tmp_path, capsys):
+    # a pseudoinverse lift through a 1e-160 operator is about 1e160, finite in
+    # float64 and far beyond the float32 samples of the cube format
+    _, rgb_p, phi_p = _synth(tmp_path, bands=31, size=16, rank=4)
+    tiny_p = tmp_path / "tiny.csv"
+    save_phi(tiny_p, ForwardOperator(1e-160 * load_phi(phi_p).phi))
+    before = sorted(tmp_path.iterdir())
+    out_p = tmp_path / "y.hsc"
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(tiny_p), "--exact",
+                "--eta", "1.0", "--stages", "2", "--out", str(out_p)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"error: io: {out_p}: cube values exceed the float32 range of the format\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("flag", ["--ref", "--test"])
+def test_truncated_cube_exits_3_naming_its_file(tmp_path, capsys, flag):
+    cube_p, _, _ = _synth(tmp_path)
+    raw = cube_p.read_bytes()
+    trunc_p = tmp_path / "trunc.hsc"
+    trunc_p.write_bytes(raw[:100])
+    cubes = {"--ref": cube_p, "--test": cube_p, flag: trunc_p}
+    out_p = tmp_path / "m.csv"
+    code = run(["metrics", "--ref", str(cubes["--ref"]), "--test", str(cubes["--test"]),
+                "--out", str(out_p)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"error: io: {trunc_p}: truncated cube file: expected {len(raw)} bytes, found 100\n"
+    assert not out_p.exists()
+
+
 @pytest.mark.parametrize("extra", ["--out-rgb", "--out-phi"])
 def test_synth_too_few_bands_exits_2_and_writes_nothing(tmp_path, capsys, extra):
     code = run(["synth", "--bands", "2", "--size", "8", "--rank", "1",
@@ -345,7 +422,7 @@ def test_svt_bench_report_layout(tmp_path):
 
 # Every operator flag set away from its default.
 _OPERATOR_FLAGS = [
-    "--theta", "0.05", "--probes", "5", "--inner-steps", "2", "--tau0", "2.0",
+    "--probes", "5", "--inner-steps", "2", "--tau0", "2.0",
     "--gamma", "0.7", "--tau-min", "0.2", "--beta1", "0.8", "--c-beta", "0.3",
     "--nu", "5.0", "--mu", "0.3", "--seed", "7",
 ]
@@ -355,7 +432,7 @@ _OPERATOR_FLAGS = [
     ("mode", "objective", "cube_norm"),
     [
         (["--exact"], 0.18386263168489936, 74.70387177856416),
-        (["--rank", "2", "--kappa", "48", *_OPERATOR_FLAGS], 902.1824439657278, 76.4352856639846),
+        (["--rank", "2", "--kappa", "48", *_OPERATOR_FLAGS], 906.1758754238768, 76.50402535163362),
     ],
     ids=["exact", "subspace-every-flag"],
 )
@@ -369,6 +446,40 @@ def test_reconstruct_frozen_final_objective_and_cube_norm(tmp_path, mode, object
     final = float(report_p.read_text().strip().splitlines()[-1].split(",")[1])
     assert final == pytest.approx(objective, rel=1e-9)
     assert float(np.linalg.norm(read_cube(out_p).data)) == pytest.approx(cube_norm, rel=1e-9)
+
+
+# SHA-256 of the cube, the MSE map and the report's stage, objective and
+# fidelity columns of a 12-stage reconstruct (--lambda 0.001) on
+# synth --bands 31 --size 64 --rank 4 --seed 3 --noise 0.01.  They were frozen
+# from runs that fixed the subspace threshold by hand at lam * eta =
+# 7.52541018797723e-05 (eta = 1 / ||phi||_2^2), the threshold the solver now
+# derives at every stage.
+_LAM_ETA_DIGESTS = {
+    "r8": (["--rank", "8", "--kappa", "64", "--inner-steps", "3"],
+           "2c2852794bd8a0062298906240f286a373dcdb81543ff7d6511ce2fede463384"),
+    "r2-every-flag": (["--rank", "2", "--kappa", "32", *_OPERATOR_FLAGS],
+                      "e2ab468585a661db2daf8d7221ef89a91c4566a14ef9dcad156fdedfb969c034"),
+    "r3-zeros": (["--rank", "3", "--kappa", "16", "--init", "zeros"],
+                 "6736c3f34ad4b97e9c095f21b1897c97ea43c0a5dee01d6560eb3483e820b5e9"),
+    "r1-adjoint": (["--rank", "1", "--kappa", "8", "--init", "adjoint"],
+                   "306178c3ebf8ceebb3db1ebe1836b4596420c1e1a01abc739ff4ad6bea4d5033"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LAM_ETA_DIGESTS))
+def test_reconstruct_subspace_outputs_equal_the_fixed_lam_eta_threshold_runs(tmp_path, case):
+    flags, digest = _LAM_ETA_DIGESTS[case]
+    cube_p, rgb_p, phi_p = _synth(tmp_path, bands=31, size=64, rank=4, noise=0.01, seed=3)
+    out_p, map_p, report_p = tmp_path / "o.hsc", tmp_path / "m.hsc", tmp_path / "r.csv"
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), "--stages", "12",
+                "--lambda", "0.001", *flags, "--out", str(out_p), "--report", str(report_p),
+                "--mse-map", str(map_p), "--ref", str(cube_p)])
+    assert code == 0
+    h = hashlib.sha256(out_p.read_bytes())
+    h.update(map_p.read_bytes())
+    for line in report_p.read_text().splitlines():
+        h.update(",".join(line.split(",")[:3]).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 class _Captured(Exception):
@@ -390,7 +501,7 @@ def _solver_config(tmp_path, monkeypatch, flags):
 
 def test_reconstruct_unset_operator_flags_take_the_config_defaults(tmp_path, monkeypatch):
     config = _solver_config(tmp_path, monkeypatch, ["--rank", "8", "--kappa", "64"])
-    assert config.lrsp == LrspConfig(r=8, kappa=64, theta=0.1)
+    assert config.lrsp == LrspConfig(r=8, kappa=64)
 
 
 def test_reconstruct_exact_solves_without_an_operator_config(tmp_path, monkeypatch):
@@ -401,7 +512,7 @@ def test_reconstruct_exact_solves_without_an_operator_config(tmp_path, monkeypat
 @pytest.mark.parametrize(
     ("flag", "field", "value"),
     [
-        ("--theta", "theta", 0.25), ("--probes", "probes", 5), ("--inner-steps", "inner_steps", 2),
+        ("--probes", "probes", 5), ("--inner-steps", "inner_steps", 2),
         ("--tau0", "tau0", 2.0), ("--gamma", "gamma", 0.7), ("--tau-min", "tau_min", 0.2),
         ("--beta1", "beta1", 0.8), ("--c-beta", "c_beta", 0.3), ("--nu", "nu", 5.0),
         ("--mu", "mu", 0.3), ("--seed", "seed", 7),
@@ -411,13 +522,13 @@ def test_reconstruct_operator_flag_sets_its_field(tmp_path, monkeypatch, flag, f
     config = _solver_config(
         tmp_path, monkeypatch, ["--rank", "8", "--kappa", "64", flag, str(value)]
     )
-    want = {"r": 8, "kappa": 64, "theta": 0.1, field: value}
+    want = {"r": 8, "kappa": 64, field: value}
     assert config.lrsp == LrspConfig(**want)
 
 
 @pytest.mark.parametrize(
     ("flag", "value"),
-    [("--rank", "8"), ("--kappa", "64"), ("--theta", "0.1"), ("--probes", "0"),
+    [("--rank", "8"), ("--kappa", "64"), ("--probes", "0"),
      ("--inner-steps", "2"), ("--tau0", "2.0"), ("--gamma", "0.7"), ("--tau-min", "0.2"),
      ("--beta1", "0.8"), ("--c-beta", "0.3"), ("--nu", "5.0"), ("--mu", "1.5"), ("--seed", "7")],
 )
@@ -436,6 +547,24 @@ def test_reconstruct_exact_with_an_operator_flag_exits_2_before_reading(
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: usage: --exact takes no operator flags, got {flag}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("mode", [["--rank", "8", "--kappa", "64"], ["--exact"]],
+                         ids=["subspace", "exact"])
+def test_reconstruct_threshold_flag_is_unrecognized(tmp_path, capsys, monkeypatch, mode):
+    # the threshold is lam * eta_k at every stage; --lambda is its only knob
+    _, rgb_p, phi_p = _synth(tmp_path, size=8)
+    before = sorted(tmp_path.iterdir())
+
+    def no_read(path):
+        raise AssertionError("no input may be read")
+
+    monkeypatch.setattr("specrank.cli.read_rgb", no_read)
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), *mode,
+                "--theta", "0.1", "--out", str(tmp_path / "o.hsc")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: usage: unrecognized arguments: --theta 0.1\n"
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -140,6 +140,7 @@ def test_read_cube_rejects_truncation(tmp_path):
         read_cube(p)
     assert info.value.expected == len(raw)
     assert info.value.actual == len(raw) - 7
+    assert str(info.value).startswith(f"{p}: truncated cube file")
 
 
 def test_read_cube_rejects_trailing_bytes(tmp_path):
@@ -171,6 +172,15 @@ def test_write_cube_rejects_oversized_dims(tmp_path):
     )
     with pytest.raises(DimensionOverflowError):
         write_cube(tmp_path / "a.hsc", fake)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_write_cube_rejects_values_beyond_the_float32_range(tmp_path):
+    target = tmp_path / "a.hsc"
+    cube = SpectralCube(np.array([[1.0, -1e39]]), 1, 2)
+    with pytest.raises(CubeFormatError, match="exceed the float32 range"):
+        write_cube(target, cube)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_failure_leaves_no_partial_file(tmp_path):

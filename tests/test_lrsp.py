@@ -27,7 +27,7 @@ EPS = np.finfo(float).eps
 
 
 def _config(**kw):
-    base = dict(r=4, kappa=8, theta=0.5)
+    base = dict(r=4, kappa=8)
     base.update(kw)
     return LrspConfig(**base)
 
@@ -400,8 +400,8 @@ def test_fusion_weights_rejects_bad_input():
 
 
 def test_lrsp_apply_zero_matrix():
-    cfg = _config(r=3, kappa=5, theta=0.5, inner_steps=2, c_beta=0.5, beta1=0.5)
-    out, state, diag = lrsp_apply(np.zeros((6, 8)), cfg)
+    cfg = _config(r=3, kappa=5, inner_steps=2, c_beta=0.5, beta1=0.5)
+    out, state, diag = lrsp_apply(np.zeros((6, 8)), 0.5, cfg)
     assert np.array_equal(out, np.zeros((6, 8)))
     assert all(s.rho_hat == 0.0 for s in diag.steps)
     assert all(s.n_completed == 3 for s in diag.steps)
@@ -413,9 +413,9 @@ def test_lrsp_apply_full_budget_saturated_gate_matches_svt():
     rng = np.random.default_rng(21)
     u = rng.standard_normal((16, 24))
     cfg = LrspConfig(
-        r=16, kappa=24, theta=0.5, inner_steps=1, c_beta=0.0, beta1=EXACT_GATE_BETA, seed=3
+        r=16, kappa=24, inner_steps=1, c_beta=0.0, beta1=EXACT_GATE_BETA, seed=3
     )
-    out, _, _ = lrsp_apply(u, cfg)
+    out, _, _ = lrsp_apply(u, 0.5, cfg)
     ref = svt_full(u, 0.5)
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -423,8 +423,8 @@ def test_lrsp_apply_full_budget_saturated_gate_matches_svt():
 def test_lrsp_apply_recovers_low_rank_input_at_zero_theta():
     rng = np.random.default_rng(22)
     u = rng.standard_normal((10, 4)) @ rng.standard_normal((4, 30))
-    cfg = _config(r=4, kappa=30, theta=0.0, inner_steps=3)
-    out, _, _ = lrsp_apply(u, cfg)
+    cfg = _config(r=4, kappa=30, inner_steps=3)
+    out, _, _ = lrsp_apply(u, 0.0, cfg)
     assert np.linalg.norm(out - u) <= 1e-8 * np.linalg.norm(u)
 
 
@@ -433,8 +433,8 @@ def test_lrsp_apply_output_is_fusion_weighted_sum_of_proposals():
     # lrsp_apply documents, then fuse them by their fusion weights
     rng = np.random.default_rng(19)
     u = rng.standard_normal((10, 40))
-    cfg = _config(r=3, kappa=12, theta=0.4, inner_steps=3, c_beta=0.7, seed=5)
-    out, _, diag = lrsp_apply(u, cfg)
+    cfg = _config(r=3, kappa=12, inner_steps=3, c_beta=0.7, seed=5)
+    out, _, diag = lrsp_apply(u, 0.4, cfg)
     g = column_importance(u, None, cfg.mu)
     scores = score_columns(u, cfg.seed)
     beta = cfg.beta1
@@ -444,7 +444,7 @@ def test_lrsp_apply_output_is_fusion_weighted_sum_of_proposals():
         omega = build_selector(g, soft_topk(scores, cfg.kappa, temperature(t, cfg)), cfg.kappa)
         q = orthonormal_subspace(u, omega, cfg.r, seed=[cfg.seed, 202, t]).q
         rho = residual_ratio(u, q, g, cfg.probes, [cfg.seed, 101, t])
-        proposals.append(subspace_proximal(u, q, cfg.theta, beta))
+        proposals.append(subspace_proximal(u, q, 0.4, beta))
         rho_hats.append(rho)
         beta += cfg.c_beta * (1.0 - rho)
     weights = fusion_weights(rho_hats, cfg.nu)
@@ -457,8 +457,8 @@ def test_lrsp_apply_is_bitwise_deterministic():
     rng = np.random.default_rng(23)
     u = rng.standard_normal((9, 15))
     cfg = _config(r=3, kappa=7, inner_steps=3, seed=9)
-    out1, st1, d1 = lrsp_apply(u, cfg)
-    out2, st2, d2 = lrsp_apply(u, cfg)
+    out1, st1, d1 = lrsp_apply(u, 0.5, cfg)
+    out2, st2, d2 = lrsp_apply(u, 0.5, cfg)
     assert np.array_equal(out1, out2)
     assert st1.beta == st2.beta
     assert [s.rho_hat for s in d1.steps] == [s.rho_hat for s in d2.steps]
@@ -468,8 +468,8 @@ def test_lrsp_apply_is_bitwise_deterministic():
 def test_lrsp_apply_output_rank_bounded():
     rng = np.random.default_rng(24)
     u = rng.standard_normal((12, 40))
-    cfg = _config(r=3, kappa=10, theta=0.5, inner_steps=2)
-    out, _, _ = lrsp_apply(u, cfg)
+    cfg = _config(r=3, kappa=10, inner_steps=2)
+    out, _, _ = lrsp_apply(u, 0.5, cfg)
     assert numerical_rank(out) <= 6
 
 
@@ -477,8 +477,8 @@ def test_lrsp_apply_never_expands_the_norm():
     rng = np.random.default_rng(25)
     for seed in range(8):
         u = rng.standard_normal((8, 20))
-        cfg = _config(r=4, kappa=12, theta=0.3, inner_steps=2, seed=seed)
-        out, _, _ = lrsp_apply(u, cfg)
+        cfg = _config(r=4, kappa=12, inner_steps=2, seed=seed)
+        out, _, _ = lrsp_apply(u, 0.3, cfg)
         assert np.linalg.norm(out) <= np.linalg.norm(u) + 1e-9
 
 
@@ -486,7 +486,7 @@ def test_lrsp_apply_gate_grows_monotonically():
     rng = np.random.default_rng(26)
     u = rng.standard_normal((10, 18))
     cfg = _config(r=4, kappa=9, inner_steps=4, c_beta=0.7, beta1=0.5)
-    _, state, diag = lrsp_apply(u, cfg)
+    _, state, diag = lrsp_apply(u, 0.5, cfg)
     betas = [s.beta for s in diag.steps]
     assert betas[0] == 0.5
     assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
@@ -498,20 +498,20 @@ def test_lrsp_apply_memory_threads_through_states():
     u1 = rng.standard_normal((7, 11))
     u2 = rng.standard_normal((7, 11))
     cfg = _config(r=3, kappa=6, mu=0.3)
-    _, st1, _ = lrsp_apply(u1, cfg)
+    _, st1, _ = lrsp_apply(u1, 0.5, cfg)
     assert np.array_equal(st1.memory_g, column_importance(u1, None, 0.3))
-    _, st2, _ = lrsp_apply(u2, cfg, st1)
+    _, st2, _ = lrsp_apply(u2, 0.5, cfg, st1)
     assert np.array_equal(st2.memory_g, column_importance(u2, st1.memory_g, 0.3))
 
 
 def test_lrsp_apply_validates_dimensions():
     cfg = _config(r=3, kappa=6)
     with pytest.raises(DimensionError):
-        lrsp_apply(np.ones((8, 5)), cfg)  # kappa > n
+        lrsp_apply(np.ones((8, 5)), 0.5, cfg)  # kappa > n
     with pytest.raises(DimensionError):
-        lrsp_apply(np.ones((2, 8)), cfg)  # r > d
+        lrsp_apply(np.ones((2, 8)), 0.5, cfg)  # r > d
     with pytest.raises(DimensionError):
-        lrsp_apply(np.ones((8, 8)), cfg, LrspState(beta=0.5, memory_g=np.full(3, 0.5)))
+        lrsp_apply(np.ones((8, 8)), 0.5, cfg, LrspState(beta=0.5, memory_g=np.full(3, 0.5)))
 
 
 def _omega():
@@ -528,7 +528,7 @@ NON_FINITE_CALLS = {
     "residual_ratio": lambda u: residual_ratio(u, np.eye(6)[:, :2], np.full(9, 0.5), 4, 0),
     "subspace_proximal": lambda u: subspace_proximal(u, np.eye(6)[:, :2], 0.5, 1.0),
     "subspace_proximal-theta0": lambda u: subspace_proximal(u, np.eye(6)[:, :2], 0.0, 1.0),
-    "lrsp_apply": lambda u: lrsp_apply(u, _config(r=2, kappa=4)),
+    "lrsp_apply": lambda u: lrsp_apply(u, 0.5, _config(r=2, kappa=4)),
 }
 
 
@@ -547,28 +547,37 @@ def test_lrsp_diagnostics_contents_and_serialization():
     rng = np.random.default_rng(28)
     u = rng.standard_normal((8, 12))
     cfg = _config(r=3, kappa=6, inner_steps=3)
-    _, _, diag = lrsp_apply(u, cfg)
+    _, _, diag = lrsp_apply(u, 0.5, cfg)
     assert [s.t for s in diag.steps] == [1, 2, 3]
     assert [s.tau for s in diag.steps] == [temperature(t, cfg) for t in (1, 2, 3)]
     assert sum(s.weight for s in diag.steps) == pytest.approx(1.0, abs=1e-12)
     assert diag.total_elapsed_ns >= sum(s.elapsed_ns for s in diag.steps) >= 0
 
 
+@pytest.mark.parametrize("theta", [-0.1, np.nan, np.inf])
+def test_lrsp_apply_rejects_a_negative_or_non_finite_threshold(theta, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the threshold must be checked before any work")
+
+    monkeypatch.setattr("specrank.lrsp.column_importance", no_work)
+    u = np.random.default_rng(33).standard_normal((6, 9))
+    with pytest.raises(ValueError, match="shrinkage threshold must be finite and >= 0"):
+        lrsp_apply(u, theta, _config(r=2, kappa=4))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
-        LrspConfig(r=5, kappa=4, theta=0.1)
+        LrspConfig(r=5, kappa=4)
     with pytest.raises(ValueError):
-        LrspConfig(r=2, kappa=4, theta=-0.1)
+        LrspConfig(r=2, kappa=4, gamma=1.0)
     with pytest.raises(ValueError):
-        LrspConfig(r=2, kappa=4, theta=0.1, gamma=1.0)
+        LrspConfig(r=2, kappa=4, beta1=0.0)
     with pytest.raises(ValueError):
-        LrspConfig(r=2, kappa=4, theta=0.1, beta1=0.0)
+        LrspConfig(r=2, kappa=4, inner_steps=0)
     with pytest.raises(ValueError):
-        LrspConfig(r=2, kappa=4, theta=0.1, inner_steps=0)
-    with pytest.raises(ValueError):
-        LrspConfig(r=2, kappa=4, theta=0.1, tau_min=0.0)
+        LrspConfig(r=2, kappa=4, tau_min=0.0)
     with pytest.raises(ValueError, match="mu must lie in"):
-        LrspConfig(r=2, kappa=4, theta=0.1, mu=1.5)
+        LrspConfig(r=2, kappa=4, mu=1.5)
 
 
 def test_state_validation():

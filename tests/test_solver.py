@@ -228,9 +228,26 @@ def test_unfold_exact_mode_objective_descends():
         assert all(b <= a + 1e-9 for a, b in zip(trail, trail[1:]))
 
 
+@pytest.mark.parametrize("r", [3, 8])
+def test_unfold_subspace_mode_objective_descends(r):
+    # both proximals shrink by lam * eta_k; with r >= rank(phi) = 3 the budget
+    # does not bind, so subspace mode descends the objective it reports
+    for seed in range(100):
+        rng = np.random.default_rng([300, seed])
+        op = ForwardOperator(rng.uniform(0.0, 1.0, (3, 8)))
+        y_true = SpectralCube(rng.uniform(0.0, 1.0, (8, 128)), 8, 16)
+        x = apply_phi(op, y_true)
+        lrsp = LrspConfig(r=r, kappa=16)
+        cfg = SolverConfig(stages=10, lam=0.05, lrsp=lrsp, init=InitMode.ZEROS)
+        _, report = unfold_solve(x, op, cfg)
+        start = objective(initialize(x, op, InitMode.ZEROS), op, x, 0.05)
+        trail = (start,) + report.objectives
+        assert all(b <= a + 1e-9 for a, b in zip(trail, trail[1:]))
+
+
 def test_unfold_subspace_mode_runs_and_reports():
     op, y_true, x = _problem(11)
-    lrsp = LrspConfig(r=4, kappa=16, theta=0.01, inner_steps=2)
+    lrsp = LrspConfig(r=4, kappa=16, inner_steps=2)
     cfg = SolverConfig(stages=6, lam=0.01, lrsp=lrsp, init=InitMode.PSEUDOINVERSE)
     y, report = unfold_solve(x, op, cfg)
     assert y.dims == y_true.dims
@@ -295,7 +312,7 @@ def test_report_csv_shape():
 
 
 def test_solver_config_validation():
-    lrsp = LrspConfig(r=2, kappa=4, theta=0.1)
+    lrsp = LrspConfig(r=2, kappa=4)
     with pytest.raises(ValueError):
         SolverConfig(stages=0, lrsp=lrsp)
     with pytest.raises(ValueError):
@@ -321,15 +338,15 @@ def test_proximal_value_error_is_a_numeric_error_naming_the_stage(monkeypatch):
     calls = []
     real = specrank.solver.lrsp_apply
 
-    def fail_second(u, config, state):
+    def fail_second(u, theta, config, state):
         calls.append(1)
         if len(calls) == 2:
             raise ValueError("matrix entries must be finite")
-        return real(u, config, state)
+        return real(u, theta, config, state)
 
     monkeypatch.setattr("specrank.solver.lrsp_apply", fail_second)
     op, _, x = _problem(23)
-    cfg = SolverConfig(stages=3, lam=0.01, lrsp=LrspConfig(r=2, kappa=8, theta=0.01))
+    cfg = SolverConfig(stages=3, lam=0.01, lrsp=LrspConfig(r=2, kappa=8))
     with pytest.raises(NumericError, match="^stage 2: matrix entries must be finite$"):
         unfold_solve(x, op, cfg)
 
@@ -357,7 +374,7 @@ def _reference_solve(x, op, config):
         if config.lrsp is None:
             out, diag = svt_gram(u, config.lam * etas[k]), LrspDiagnostics((), 0)
         else:
-            out, state, diag = lrsp_apply(u, config.lrsp, state)
+            out, state, diag = lrsp_apply(u, config.lam * etas[k], config.lrsp, state)
         y = SpectralCube(out, x.h, x.w)
         fid = data_fidelity(y, op, x)
         objectives.append(fid + config.lam * nuclear_norm(y.data))
@@ -372,9 +389,9 @@ def _untimed(diag):
 
 _REFERENCE_PROXIMALS = {
     "exact": None,
-    "subspace": LrspConfig(r=8, kappa=64, theta=0.1, inner_steps=3),
+    "subspace": LrspConfig(r=8, kappa=64, inner_steps=3),
     "subspace-every-field": LrspConfig(
-        r=2, kappa=32, theta=0.01, probes=5, inner_steps=2, tau0=2.0, gamma=0.7,
+        r=2, kappa=32, probes=5, inner_steps=2, tau0=2.0, gamma=0.7,
         tau_min=0.2, beta1=0.8, c_beta=0.3, nu=5.0, mu=0.3, seed=7,
     ),
 }
@@ -398,7 +415,7 @@ def test_unfold_solve_equals_the_container_loop_bit_for_bit(proximal, init, nois
 
 
 @pytest.mark.parametrize(
-    "lrsp", [None, LrspConfig(r=2, kappa=8, theta=0.01)], ids=["exact", "subspace"]
+    "lrsp", [None, LrspConfig(r=2, kappa=8)], ids=["exact", "subspace"]
 )
 @pytest.mark.parametrize("stages", [1, 12])
 def test_unfold_solve_builds_two_containers_at_any_stage_count(monkeypatch, stages, lrsp):
@@ -452,7 +469,7 @@ def test_non_finite_proximal_output_is_a_numeric_error_naming_the_stage(
 
     monkeypatch.setattr(f"specrank.solver.{proximal}", poison_second)
     op, _, x = _problem(26)
-    lrsp = LrspConfig(r=2, kappa=8, theta=0.01) if proximal == "lrsp_apply" else None
+    lrsp = LrspConfig(r=2, kappa=8) if proximal == "lrsp_apply" else None
     with pytest.raises(NumericError, match="^stage 2: "):
         unfold_solve(x, op, SolverConfig(stages=3, lam=0.01, lrsp=lrsp))
 
