@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,12 +115,19 @@ def save_phi(path, op: ForwardOperator) -> None:
 
 def load_phi(path) -> ForwardOperator:
     try:
-        phi = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below as a CSV with 0 rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            phi = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as e:
         raise CubeFormatError(f"{path}: unparseable operator CSV: {e}") from e
     if phi.shape[0] != 3:
         raise CubeFormatError(f"{path}: operator CSV must have 3 rows, found {phi.shape[0]}")
-    return ForwardOperator(phi)
+    try:
+        return ForwardOperator(phi)
+    except ValueError as e:
+        # the row check above leaves only the operator's finiteness check
+        raise CubeFormatError(f"{path}: {e}") from e
 
 
 def wavelength_grid(b: int) -> np.ndarray:

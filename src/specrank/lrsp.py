@@ -93,79 +93,41 @@ class LrspState:
 
     ``memory_g`` is the exponential moving average of column importances from
     previous applications (None before the first one); its decay is
-    ``LrspConfig.mu``.
+    ``LrspConfig.mu``.  :func:`lrsp_apply` builds the state: ``beta`` grows
+    from ``LrspConfig.beta1`` by finite steps and ``memory_g`` is what
+    :func:`column_importance` returned, in [0, 1].  The record checks
+    nothing: :func:`subspace_proximal` rejects a non-finite ``beta`` and
+    :func:`column_importance` a memory of the wrong length.
     """
 
     beta: float
     memory_g: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.beta):
-            raise ValueError("beta must be finite")
-        if self.memory_g is not None:
-            mem = np.array(self.memory_g, dtype=float, copy=True)
-            if mem.ndim != 1:
-                raise DimensionError("memory_g must be 1-d")
-            if not np.all((mem >= 0.0) & (mem <= 1.0)):
-                raise ValueError("memory_g entries must lie in [0, 1]")
-            mem.flags.writeable = False
-            object.__setattr__(self, "memory_g", mem)
 
 
 @dataclass(frozen=True)
 class Selector:
     """Hard column choice with per-column scalings.
 
-    ``indices`` are distinct column positions; ``weights`` are the matching
-    nonnegative scalings (importance gate times soft-selection weight), with
-    total mass at most 1.
+    :func:`build_selector` returns distinct column positions ``indices`` and
+    the matching nonnegative ``weights`` (importance gate times
+    soft-selection weight), with total mass at most 1.  The record checks
+    nothing: :func:`sparse_pool` and :func:`orthonormal_subspace` reject an
+    index outside the matrix, and the QR a non-finite weight.
     """
 
     indices: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        idx = np.array(self.indices, dtype=int, copy=True)
-        wts = np.array(self.weights, dtype=float, copy=True)
-        if idx.ndim != 1 or wts.shape != idx.shape:
-            raise DimensionError("indices and weights must be 1-d and aligned")
-        if idx.size < 1:
-            raise ValueError("selector must keep at least one column")
-        if np.any(idx < 0) or np.unique(idx).size != idx.size:
-            raise ValueError("indices must be distinct and nonnegative")
-        if not np.all(np.isfinite(wts)) or np.any(wts < 0.0):
-            raise ValueError("weights must be finite and >= 0")
-        if wts.sum() > 1.0 + 1e-9:
-            raise ValueError("selector weights must sum to at most 1")
-        idx.flags.writeable = False
-        wts.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "weights", wts)
-
-    @property
-    def kappa(self) -> int:
-        return self.indices.size
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal d x r basis; ``n_completed`` counts columns that had to be
-    filled with random directions because the sketch was rank deficient."""
+    """Orthonormal d x r basis built by :func:`orthonormal_subspace`, whose
+    orthonormality :func:`subspace_proximal` checks; ``n_completed`` counts
+    columns that had to be filled with random directions because the sketch
+    was rank deficient."""
 
     q: np.ndarray
     n_completed: int
-
-    def __post_init__(self):
-        q = np.array(self.q, dtype=float, copy=True)
-        if q.ndim != 2:
-            raise DimensionError("basis must be a d x r matrix")
-        gram = q.T @ q
-        if np.abs(gram - np.eye(q.shape[1])).max() > 1e-10:
-            raise ValueError("basis columns are not orthonormal")
-        if self.n_completed < 0:
-            raise ValueError("n_completed must be >= 0")
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True)
@@ -292,8 +254,8 @@ def build_selector(g, w, kappa: int) -> Selector:
 def sparse_pool(u, omega: Selector) -> np.ndarray:
     """Weighted sum of the selected columns."""
     a = _as_matrix(u)
-    if omega.indices.max() >= a.shape[1]:
-        raise DimensionError("selector indices exceed column count")
+    if omega.indices.min() < 0 or omega.indices.max() >= a.shape[1]:
+        raise DimensionError(f"selector indices must lie in [0, {a.shape[1]})")
     pooled = a[:, omega.indices] @ omega.weights
     _check_finite(pooled, "the pooled column")
     return pooled
@@ -306,15 +268,16 @@ def orthonormal_subspace(u, omega: Selector, r: int, seed=0) -> SubspaceBasis:
     directions; if the sketch's numerical rank falls short of ``r``, the
     remaining columns are seeded random vectors orthonormalized against the
     computed ones, and the count of such fills is reported.  A NaN or
-    infinite entry in a selected column fails the QR's finiteness check
-    with ValueError.
+    infinite entry in a selected column or weight fails the QR's finiteness
+    check with ValueError.
     """
     a = _as_matrix(u)
     d, n = a.shape
-    if omega.indices.max() >= n:
-        raise DimensionError("selector indices exceed column count")
-    if r < 1 or r > d or r > omega.kappa:
-        raise ValueError(f"rank must satisfy 1 <= r <= min(d={d}, kappa={omega.kappa})")
+    if omega.indices.min() < 0 or omega.indices.max() >= n:
+        raise DimensionError(f"selector indices must lie in [0, {n})")
+    kappa = omega.indices.size
+    if r < 1 or r > d or r > kappa:
+        raise ValueError(f"rank must satisfy 1 <= r <= min(d={d}, kappa={kappa})")
     sketch = a[:, omega.indices] * omega.weights[None, :]
     qf, rf, _ = scipy.linalg.qr(sketch, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rf))
@@ -435,6 +398,14 @@ def lrsp_apply(u, theta: float, config: LrspConfig, state: LrspState | None = No
     Returns the proposals' sum weighted by :func:`fusion_weights` (formed in
     place; this is the package's only fusion), the advanced state, and
     per-step diagnostics.
+
+    Where the budget binds: a stage input of
+    :func:`specrank.solver.unfold_solve` lies in span(phi^T), so its rank is
+    at most rank(phi), 3 for an RGB camera.  With ``r`` >= rank(phi) the
+    basis spans the input and every proposal is its gated exact SVT, so the
+    result equals ``(1 - a) u + a svt_full(u, theta)`` with ``a`` the
+    fusion-weighted sum of the gates ``sigmoid(beta_t)``; only ``r`` below
+    rank(phi) lets selection, QR, probing and fusion change a solver result.
     """
     t_start = time.perf_counter_ns()
     theta = _check_threshold(theta)

@@ -79,7 +79,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """Per-stage evidence trail: objective, data fidelity, proximal
-    diagnostics, resolved step sizes, and timings."""
+    diagnostics, resolved step sizes, and timings; :func:`unfold_solve`
+    gives every column one entry per stage."""
 
     objectives: tuple[float, ...]
     fidelities: tuple[float, ...]
@@ -87,13 +88,11 @@ class SolveReport:
     lrsp: tuple[LrspDiagnostics, ...]
     eta: tuple[float, ...]
     total_elapsed_ns: int
-    diverged: bool = False
     diverged_stage: int | None = None
 
-    def __post_init__(self):
-        k = len(self.objectives)
-        if not (len(self.fidelities) == len(self.stage_elapsed_ns) == len(self.lrsp) == len(self.eta) == k):
-            raise DimensionError("report columns must all have one entry per stage")
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_stage is not None
 
 
 def report_csv_lines(report: SolveReport) -> list[str]:
@@ -175,9 +174,9 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     its residual ``phi @ y - x`` stay plain arrays between the checks on entry
     and the cube (fresh, read-only) built on return.  The objective's nuclear
     norm, which raises on a NaN or infinite entry, is the only finiteness check
-    on the iterate.  A warning (and report flags) mark divergence: the iterate
-    norm exceeding ten times the early-iterate scale, which a too-large step
-    size produces.
+    on the iterate.  A warning and ``report.diverged_stage`` mark divergence:
+    the iterate norm exceeding ten times the early-iterate scale, which a
+    too-large step size produces.
     """
     t_start = time.perf_counter_ns()
     etas = _resolve_eta(config, op)
@@ -238,7 +237,6 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
         lrsp=tuple(diags),
         eta=etas,
         total_elapsed_ns=time.perf_counter_ns() - t_start,
-        diverged=diverged_stage is not None,
         diverged_stage=diverged_stage,
     )
     return SpectralCube(y, x.h, x.w), report

@@ -329,6 +329,34 @@ def test_cube_beyond_the_float32_range_exits_3_and_writes_nothing(tmp_path, caps
     assert sorted(tmp_path.iterdir()) == before
 
 
+# A malformed operator CSV, by file content, and the one stderr line it gives.
+_BAD_OPERATORS = {
+    "nan-entry": ("1,nan,0\n0,1,0\n0,0,1\n", "phi entries must be finite"),
+    "inf-entry": ("1,0,0\n0,1,0\n0,0,inf\n", "phi entries must be finite"),
+    "empty": ("", "operator CSV must have 3 rows, found 0"),
+}
+
+
+# numpy's loadtxt warns on an empty file; as an error the warning would escape run()
+@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.parametrize("case", list(_BAD_OPERATORS))
+@pytest.mark.parametrize("command", ["reconstruct", "metrics"])
+def test_malformed_operator_csv_exits_3_naming_its_file(tmp_path, capsys, command, case):
+    cube_p, rgb_p, _ = _synth(tmp_path, bands=3)
+    content, message = _BAD_OPERATORS[case]
+    bad_p = tmp_path / "bad.csv"
+    bad_p.write_text(content)
+    before = sorted(tmp_path.iterdir())
+    out_p = tmp_path / "out"
+    argv = {
+        "reconstruct": ["reconstruct", "--rgb", str(rgb_p), "--exact", "--out", str(out_p)],
+        "metrics": ["metrics", "--ref", str(cube_p), "--test", str(cube_p), "--out", str(out_p)],
+    }[command]
+    assert run(argv + ["--phi", str(bad_p)]) == 3
+    assert capsys.readouterr().err == f"error: io: {bad_p}: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("flag", ["--ref", "--test"])
 def test_truncated_cube_exits_3_naming_its_file(tmp_path, capsys, flag):
     cube_p, _, _ = _synth(tmp_path)

@@ -486,3 +486,49 @@ def test_unfold_solve_returns_a_read_only_cube():
     op, _, x = _problem(28)
     y, _ = unfold_solve(x, op, SolverConfig(stages=2, lam=0.01))
     assert not y.data.flags.writeable and y.data.flags.owndata
+
+
+# -- where the budget binds --------------------------------------------------
+
+
+def _camera_problem(noise):
+    """The benchmark's camera on a 31-band 16x16 rank-4 scene."""
+    scene = synth_scene(SceneSpec(b=31, h=16, w=16, rank=4, noise_sigma=noise, seed=3))
+    op = make_phi(synth_css(31), flat_illuminant(31))
+    return op, apply_phi(op, scene)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01], ids=["clean", "noisy"])
+@pytest.mark.parametrize("init", list(InitMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("r", [3, 8])
+def test_subspace_solve_at_rank_of_phi_or_above_is_the_gated_closed_form(r, init, noise):
+    # every stage input has rank <= rank(phi) = 3, so with r >= 3 each proposal
+    # is the gated exact SVT and a stage is (1 - a) U + a SVT(U, lam * eta_k)
+    op, x = _camera_problem(noise)
+    lam = 0.001
+    config = SolverConfig(stages=12, lam=lam, lrsp=LrspConfig(r=r, kappa=64), init=init)
+    y, report = unfold_solve(x, op, config)
+    want = initialize(x, op, init).data
+    plain_ista = want
+    for eta, diag in zip(report.eta, report.lrsp):
+        a = sum(s.weight / (1.0 + np.exp(-s.beta)) for s in diag.steps)
+        u = want - eta * (op.phi.T @ (op.phi @ want - x.data))
+        want = (1.0 - a) * u + a * svt_full(u, lam * eta)
+        u = plain_ista - eta * (op.phi.T @ (op.phi @ plain_ista - x.data))
+        plain_ista = svt_full(u, lam * eta)
+    scale = np.linalg.norm(want)
+    assert np.linalg.norm(y.data - want) <= 1e-12 * scale
+    # the gate matters: the solve is not plain ISTA
+    assert np.linalg.norm(y.data - plain_ista) > 1e-9 * scale
+
+
+@pytest.mark.parametrize("init", list(InitMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("r", [None, 1, 2, 8], ids=["exact", "r1", "r2", "r8"])
+def test_unfold_solve_cube_lies_in_the_row_space_of_phi(r, init):
+    op, x = _camera_problem(0.01)
+    lrsp = None if r is None else LrspConfig(r=r, kappa=64)
+    y, _ = unfold_solve(x, op, SolverConfig(stages=12, lam=0.001, lrsp=lrsp, init=init))
+    _, s, vt = np.linalg.svd(op.phi, full_matrices=False)
+    p = vt[s > s[0] * 1e-12].T  # orthonormal basis of span(phi^T)
+    outside = y.data - p @ (p.T @ y.data)
+    assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(y.data)
