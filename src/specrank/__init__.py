@@ -26,17 +26,11 @@ from .forward_model import (
     SpectralCube,
     apply_phi,
     apply_phi_adjoint,
-    estimate_illuminant,
     estimate_phi_ls,
-    load_illuminant,
-    load_sensitivity,
     make_phi,
-    save_illuminant,
-    save_sensitivity,
     spectral_norm_sq,
 )
 from .lrsp import (
-    EXACT_GATE_BETA,
     LrspConfig,
     LrspDiagnostics,
     LrspState,
@@ -73,6 +67,6 @@ from .solver import (
     objective,
     unfold_solve,
 )
-from .svt import nuclear_norm, numerical_rank, svt_full, svt_gram
+from .svt import nuclear_norm, svt_full, svt_gram
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .data_io import (
     write_cube,
     write_rgb,
 )
-from .errors import CubeFormatError, DegenerateSelectionError, NumericError, SpectraFormatError
+from .errors import CubeFormatError, DegenerateSelectionError, NumericError
 from .forward_model import SpectralCube, apply_phi, estimate_phi_ls, make_phi
 from .lrsp import LrspConfig, lrsp_apply
 from .metrics import MetricReport, delta_e00, metric_csv_lines, mse_map, psnr, sam, ssim
@@ -149,8 +149,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _resolve_operator(args):
-    if (args.phi is None) == (args.calibrate_from is None):
-        raise UsageError("exactly one of --phi and --calibrate-from is required")
     if args.phi is not None:
         return load_phi(args.phi)
     rgb_path, cube_path = args.calibrate_from
@@ -181,8 +179,8 @@ def _cmd_reconstruct(args) -> int:
         ]
         if given:
             raise UsageError(f"--exact takes no operator flags, got {', '.join(given)}")
-    rgb = read_rgb(args.rgb)
-    op = _resolve_operator(args)
+    if (args.phi is None) == (args.calibrate_from is None):
+        raise UsageError("exactly one of --phi and --calibrate-from is required")
     if args.mse_map and not args.ref:
         raise UsageError("--mse-map requires --ref")
     eta = args.eta if args.eta == "auto" else float(args.eta)
@@ -194,6 +192,9 @@ def _cmd_reconstruct(args) -> int:
     config = SolverConfig(
         stages=args.stages, eta=eta, lam=args.lam, lrsp=lrsp, init=InitMode(args.init)
     )
+    # Every flag is checked above, so a usage error reads no input.
+    rgb = read_rgb(args.rgb)
+    op = _resolve_operator(args)
     cube, report = unfold_solve(rgb, op, config)
     err_map = None
     if args.mse_map:
@@ -212,13 +213,14 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_svt_bench(args) -> int:
     kappa = args.kappa if args.kappa is not None else min(8 * args.r, args.n)
+    base_cfg = LrspConfig(r=args.r, kappa=kappa, **_lrsp_fields(args))
     lines = ["method,seed,d,n,r,rel_err,elapsed_ns"]
-    # untimed warmup so BLAS setup does not land in the first row
+    # untimed warmup so BLAS setup does not land in the first row; lrsp_apply
+    # goes first because it checks the budget against d and n before any SVD
     warm = np.random.default_rng(0).standard_normal((args.d, args.n))
+    lrsp_apply(warm, args.theta, base_cfg)
     svt_full(warm, args.theta)
     svt_gram(warm, args.theta)
-    base_cfg = LrspConfig(r=args.r, kappa=kappa, **_lrsp_fields(args))
-    lrsp_apply(warm, args.theta, base_cfg)
     for seed in range(args.seeds):
         a = np.random.default_rng(seed).standard_normal((args.d, args.n))
         t0 = time.perf_counter_ns()
@@ -275,7 +277,7 @@ def run(argv) -> int:
     except UsageError as e:
         print(f"error: usage: {e}", file=sys.stderr)
         return 2
-    except (CubeFormatError, SpectraFormatError, OSError) as e:
+    except (CubeFormatError, OSError) as e:
         print(f"error: io: {e}", file=sys.stderr)
         return 3
     except (NumericError, DegenerateSelectionError, np.linalg.LinAlgError) as e:

@@ -21,10 +21,6 @@ class NumericError(RuntimeError):
     """A numeric failure inside the solver loop; message names the stage."""
 
 
-class SpectraFormatError(RuntimeError):
-    """A spectra CSV file violates the expected layout."""
-
-
 class CubeFormatError(RuntimeError):
     """A cube file violates the binary format."""
 

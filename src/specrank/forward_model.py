@@ -2,21 +2,19 @@
 
 The operator is ``phi = S @ diag(ell)`` where ``S`` is the camera spectral
 sensitivity (3 x B) and ``ell`` the scene illuminant (length B).  The module
-also provides the classical estimators that recover ``phi`` (ridge least
-squares on calibration pairs) and ``ell`` (per-band projection), plus the
-squared spectral norm used to pick solver step sizes.
+also provides the classical estimator that recovers ``phi`` (ridge least
+squares on calibration pairs), plus the squared spectral norm used to pick
+solver step sizes.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, SingularSystemError, SpectraFormatError
+from .errors import DimensionError, SingularSystemError
 
 
 def _readonly(a, dtype=np.float64) -> np.ndarray:
@@ -233,96 +231,6 @@ def estimate_phi_ls(x: RgbImage, y: SpectralCube, ridge: float = 0.0) -> Forward
     return ForwardOperator(phi)
 
 
-def estimate_illuminant(s: Sensitivity, phi_hat: ForwardOperator) -> Illuminant:
-    """Recover the illuminant given a known sensitivity, per band.
-
-    Each band solves a nonnegative scalar least-squares fit of the phi column
-    onto the sensitivity column; bands with a zero sensitivity column get 0.
-    """
-    if s.bands != phi_hat.bands:
-        raise DimensionError(f"band counts differ: sensitivity {s.bands}, phi {phi_hat.bands}")
-    num = np.einsum("cb,cb->b", phi_hat.phi, s.matrix)
-    den = np.einsum("cb,cb->b", s.matrix, s.matrix)
-    spectrum = np.zeros(s.bands)
-    nz = den > 0
-    spectrum[nz] = np.maximum(num[nz] / den[nz], 0.0)
-    return Illuminant(spectrum, s.wavelengths)
-
-
 def spectral_norm_sq(op: ForwardOperator) -> float:
     """Largest squared singular value of phi, from LAPACK's SVD of the 3 x B matrix."""
     return float(np.linalg.norm(op.phi, 2) ** 2)
-
-
-# -- spectra CSV ingestion ---------------------------------------------------
-#
-# Layout: header `wavelength_nm,v1[,v2,v3]`, one row per band.  One value
-# column holds an illuminant, three hold a sensitivity; strictly increasing
-# wavelengths are enforced on load.
-
-
-def _load_spectra_rows(path, expected_values: int):
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise SpectraFormatError(f"{path}: empty spectra file")
-    header = [c.strip() for c in rows[0]]
-    if not header or header[0] != "wavelength_nm":
-        raise SpectraFormatError(f"{path}: first header field must be 'wavelength_nm'")
-    if len(header) != expected_values + 1:
-        raise SpectraFormatError(
-            f"{path}: expected {expected_values} value column(s), found {len(header) - 1}"
-        )
-    wavelengths = []
-    values = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != expected_values + 1:
-            raise SpectraFormatError(f"{path}: line {i} has {len(row)} fields")
-        try:
-            parsed = [float(c) for c in row]
-        except ValueError as e:
-            raise SpectraFormatError(f"{path}: line {i}: {e}") from e
-        wavelengths.append(parsed[0])
-        values.append(parsed[1:])
-    wl = np.asarray(wavelengths)
-    if wl.size == 0:
-        raise SpectraFormatError(f"{path}: no data rows")
-    if not np.all(np.diff(wl) > 0):
-        raise SpectraFormatError(f"{path}: wavelengths must be strictly increasing")
-    return wl, np.asarray(values)
-
-
-def load_sensitivity(path) -> Sensitivity:
-    """Read a sensitivity from CSV (columns wavelength_nm,v1,v2,v3)."""
-    wl, values = _load_spectra_rows(path, 3)
-    try:
-        return Sensitivity(values.T, wl)
-    except (DimensionError, ValueError) as e:
-        raise SpectraFormatError(f"{path}: {e}") from e
-
-
-def load_illuminant(path) -> Illuminant:
-    """Read an illuminant from CSV (columns wavelength_nm,v1)."""
-    wl, values = _load_spectra_rows(path, 1)
-    try:
-        return Illuminant(values[:, 0], wl)
-    except (DimensionError, ValueError) as e:
-        raise SpectraFormatError(f"{path}: {e}") from e
-
-
-def _save_spectra(path, wavelengths, columns, names):
-    path = Path(path)
-    lines = ["wavelength_nm," + ",".join(names)]
-    for i, wl in enumerate(wavelengths):
-        vals = ",".join(format(c[i], ".17g") for c in columns)
-        lines.append(f"{format(wl, '.17g')},{vals}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def save_sensitivity(path, s: Sensitivity) -> None:
-    _save_spectra(path, s.wavelengths, [s.matrix[0], s.matrix[1], s.matrix[2]], ["v1", "v2", "v3"])
-
-
-def save_illuminant(path, ell: Illuminant) -> None:
-    _save_spectra(path, ell.wavelengths, [ell.spectrum], ["v1"])

@@ -34,10 +34,6 @@ from .errors import DegenerateSelectionError, DimensionError, NumericError
 # perfbench/tracing.py wraps specrank.lrsp.svt_full.
 from .svt import _as_matrix, _check_threshold, svt_full, svt_gram
 
-# Gate argument whose sigmoid rounds to exactly 1.0 in double precision while
-# keeping the state finite; used for the exactness regime.
-EXACT_GATE_BETA = 50.0
-
 
 @dataclass(frozen=True)
 class LrspConfig:

@@ -140,13 +140,3 @@ def nuclear_norm(m) -> float:
     if not np.all(np.isfinite(a)):
         raise ValueError("nuclear_norm input must be finite")
     return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def numerical_rank(m) -> int:
-    """Rank with the standard tolerance max(d, n) * eps * sigma_max."""
-    a = np.asarray(m, dtype=float)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    tol = max(a.shape) * np.finfo(float).eps * s[0]
-    return int(np.count_nonzero(s > tol))

@@ -7,6 +7,7 @@ so the gate can be read off a ``pytest -s`` run at a glance, then asserts.
 import time
 
 import numpy as np
+from _oracles import EXACT_GATE_BETA
 
 from specrank.cli import run
 from specrank.data_io import SceneSpec, flat_illuminant, read_cube, synth_css, synth_scene
@@ -18,7 +19,7 @@ from specrank.forward_model import (
     apply_phi_adjoint,
     make_phi,
 )
-from specrank.lrsp import EXACT_GATE_BETA, LrspConfig, lrsp_apply, temperature
+from specrank.lrsp import LrspConfig, lrsp_apply, temperature
 from specrank.metrics import ciede2000_lab, mse_map, psnr, sam
 from specrank.solver import (
     InitMode,

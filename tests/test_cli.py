@@ -578,6 +578,86 @@ def test_reconstruct_exact_with_an_operator_flag_exits_2_before_reading(
     assert sorted(tmp_path.iterdir()) == before
 
 
+def _no_read(path):
+    raise AssertionError("no input may be read")
+
+
+# (flags after --rgb, the usage message); {phi}, {rgb} and {cube} name real
+# inputs, {dir} the output directory.
+_RECONSTRUCT_USAGE_CASES = {
+    "no-operator": (["--exact"], "exactly one of --phi and --calibrate-from is required"),
+    "both-operators": (
+        ["--phi", "{phi}", "--calibrate-from", "{rgb}", "{cube}", "--exact"],
+        "exactly one of --phi and --calibrate-from is required",
+    ),
+    "no-rank-or-kappa": (["--phi", "{phi}"], "--rank and --kappa are required without --exact"),
+    "calibrate-from-without-kappa": (
+        ["--calibrate-from", "{rgb}", "{cube}", "--rank", "4"],
+        "--rank and --kappa are required without --exact",
+    ),
+    "mse-map-without-ref": (
+        ["--phi", "{phi}", "--exact", "--mse-map", "{dir}/m.hsc"], "--mse-map requires --ref"
+    ),
+    "rank-above-kappa": (
+        ["--phi", "{phi}", "--rank", "9", "--kappa", "8"], "target rank 9 exceeds column budget 8"
+    ),
+    "zero-stages": (["--phi", "{phi}", "--exact", "--stages", "0"], "stages must be >= 1"),
+    "bad-eta": (
+        ["--phi", "{phi}", "--exact", "--eta", "abc"], "could not convert string to float: 'abc'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECONSTRUCT_USAGE_CASES))
+def test_reconstruct_usage_errors_exit_2_before_reading(tmp_path, capsys, monkeypatch, case):
+    cube_p, rgb_p, phi_p = _synth(tmp_path, size=8)
+    before = sorted(tmp_path.iterdir())
+    for name in ("read_rgb", "read_cube", "load_phi"):
+        monkeypatch.setattr(f"specrank.cli.{name}", _no_read)
+    flags, message = _RECONSTRUCT_USAGE_CASES[case]
+    paths = dict(phi=phi_p, rgb=rgb_p, cube=cube_p, dir=tmp_path)
+    code = run(["reconstruct", "--rgb", str(rgb_p), *(f.format(**paths) for f in flags),
+                "--out", str(tmp_path / "o.hsc")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: usage: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_reconstruct_usage_error_with_a_missing_rgb_exits_2(tmp_path, capsys):
+    _, _, phi_p = _synth(tmp_path, size=8)
+    before = sorted(tmp_path.iterdir())
+    code = run(["reconstruct", "--rgb", str(tmp_path / "missing.hsc"), "--phi", str(phi_p),
+                "--out", str(tmp_path / "y.hsc")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: usage: --rank and --kappa are required without --exact\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--r", "0"], "r, kappa, probes, and inner_steps must all be >= 1"),
+        (["--r", "4", "--kappa", "2"], "target rank 4 exceeds column budget 2"),
+        (["--r", "4", "--kappa", "49"], "column budget 49 exceeds 48 columns"),
+        (["--r", "25"], "target rank 25 exceeds 24 rows"),
+        (["--r", "4", "--theta", "-1"], "shrinkage threshold must be finite and >= 0, got -1.0"),
+    ],
+    ids=["zero-rank", "kappa-below-rank", "kappa-above-n", "rank-above-d", "negative-theta"],
+)
+def test_svt_bench_usage_errors_exit_2_before_the_warmup(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("no SVT may run")
+
+    monkeypatch.setattr("specrank.cli.svt_full", no_svd)
+    code = run(["svt-bench", "--d", "24", "--n", "48", *flags, "--out", str(tmp_path / "b.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: usage: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("mode", [["--rank", "8", "--kappa", "64"], ["--exact"]],
                          ids=["subspace", "exact"])
 def test_reconstruct_threshold_flag_is_unrecognized(tmp_path, capsys, monkeypatch, mode):

@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+from _oracles import numerical_rank
 
 from specrank.data_io import (
     CUBE_MAGIC,
@@ -34,7 +35,6 @@ from specrank.forward_model import (
     apply_phi,
     make_phi,
 )
-from specrank.svt import numerical_rank
 
 
 def _f4_cube(seed, b=5, h=3, w=4):

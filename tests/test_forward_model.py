@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specrank.errors import DimensionError, SingularSystemError, SpectraFormatError
+from specrank.errors import DimensionError, SingularSystemError
 from specrank.forward_model import (
     ForwardOperator,
     Illuminant,
@@ -10,13 +10,8 @@ from specrank.forward_model import (
     SpectralCube,
     apply_phi,
     apply_phi_adjoint,
-    estimate_illuminant,
     estimate_phi_ls,
-    load_illuminant,
-    load_sensitivity,
     make_phi,
-    save_illuminant,
-    save_sensitivity,
     spectral_norm_sq,
 )
 
@@ -167,43 +162,6 @@ def test_estimate_phi_warns_on_negative_entries():
     assert est.phi.min() < 0
 
 
-def test_estimate_illuminant_exact_roundtrip_on_dyadic_data():
-    # powers-of-two sensitivities and short-mantissa illuminant keep every
-    # product and sum exact, so recovery is bitwise
-    s = _sensitivity(
-        [
-            [1.0, 0.5, 0.0, 0.25],
-            [0.5, 1.0, 0.25, 0.0],
-            [0.0, 0.25, 1.0, 0.5],
-        ]
-    )
-    ell = Illuminant([0.75, 1.5, 2.0, 0.5], s.wavelengths)
-    back = estimate_illuminant(s, make_phi(s, ell))
-    assert np.array_equal(back.spectrum, ell.spectrum)
-
-
-def test_estimate_illuminant_random_roundtrip():
-    rng = np.random.default_rng(7)
-    s = _sensitivity(rng.uniform(0.05, 1.0, (3, 16)))
-    ell = Illuminant(rng.uniform(0.1, 2.0, 16), s.wavelengths)
-    back = estimate_illuminant(s, make_phi(s, ell))
-    assert np.allclose(back.spectrum, ell.spectrum, rtol=1e-12)
-
-
-def test_estimate_illuminant_doubled_operator():
-    s = _sensitivity(np.abs(np.random.default_rng(8).standard_normal((3, 5))) + 0.1)
-    op = ForwardOperator(2.0 * s.matrix)
-    back = estimate_illuminant(s, op)
-    assert np.array_equal(back.spectrum, np.full(5, 2.0))
-
-
-def test_estimate_illuminant_orthogonal_column_clamps_to_zero():
-    s = _sensitivity([[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-    phi = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
-    back = estimate_illuminant(s, ForwardOperator(phi))
-    assert back.spectrum[0] == 0.0
-
-
 def test_spectral_norm_sq_diagonal():
     op = ForwardOperator(np.diag([2.0, 3.0, 0.0]))
     assert spectral_norm_sq(op) == pytest.approx(9.0, rel=1e-8)
@@ -250,46 +208,3 @@ def test_cube_bhw_roundtrip():
     y = SpectralCube.from_bhw(stack)
     assert y.dims == (5, 3, 4)
     assert np.array_equal(y.to_bhw(), stack)
-
-
-def test_spectra_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    s = _sensitivity(rng.uniform(0.0, 1.0, (3, 9)) + 0.01)
-    ell = Illuminant(rng.uniform(0.1, 2.0, 9), s.wavelengths)
-    sp = tmp_path / "s.csv"
-    ep = tmp_path / "e.csv"
-    save_sensitivity(sp, s)
-    save_illuminant(ep, ell)
-    s2 = load_sensitivity(sp)
-    e2 = load_illuminant(ep)
-    assert np.array_equal(s2.matrix, s.matrix)
-    assert np.array_equal(s2.wavelengths, s.wavelengths)
-    assert np.array_equal(e2.spectrum, ell.spectrum)
-
-
-def test_spectra_csv_rejects_bad_header(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("nm,v1\n400,1.0\n")
-    with pytest.raises(SpectraFormatError):
-        load_illuminant(p)
-
-
-def test_spectra_csv_rejects_wrong_column_count(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("wavelength_nm,v1,v2,v3\n400,1.0,1.0,1.0\n410,1.0,1.0\n")
-    with pytest.raises(SpectraFormatError):
-        load_sensitivity(p)
-
-
-def test_spectra_csv_rejects_non_increasing_wavelengths(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("wavelength_nm,v1\n410,1.0\n400,1.0\n")
-    with pytest.raises(SpectraFormatError):
-        load_illuminant(p)
-
-
-def test_spectra_csv_rejects_unparseable_value(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("wavelength_nm,v1\n400,abc\n")
-    with pytest.raises(SpectraFormatError):
-        load_illuminant(p)

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import EXACT_GATE_BETA, numerical_rank
 
 from specrank.errors import DegenerateSelectionError, DimensionError
 from specrank.lrsp import (
-    EXACT_GATE_BETA,
     LrspConfig,
     LrspState,
     Selector,
@@ -21,7 +21,7 @@ from specrank.lrsp import (
     subspace_proximal,
     temperature,
 )
-from specrank.svt import numerical_rank, svt_full, svt_gram
+from specrank.svt import svt_full, svt_gram
 
 EPS = np.finfo(float).eps
 

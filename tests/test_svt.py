@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from _oracles import numerical_rank
 
-from specrank.svt import nuclear_norm, numerical_rank, svt_full, svt_gram
+from specrank.svt import nuclear_norm, svt_full, svt_gram
 
 
 def test_svt_full_diagonal_case():
