@@ -23,7 +23,7 @@ the sketch, the Gram diagonal of the coordinates).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -85,19 +85,23 @@ class LrspConfig:
 
 @dataclass(frozen=True)
 class LrspState:
-    """Cross-call state: cumulative gate argument and the importance memory.
+    """Cross-call state: cumulative gate argument, importance memory and probes.
 
     ``memory_g`` is the exponential moving average of column importances from
     previous applications (None before the first one); its decay is
     ``LrspConfig.mu``.  :func:`lrsp_apply` builds the state: ``beta`` grows
     from ``LrspConfig.beta1`` by finite steps and ``memory_g`` is what
-    :func:`column_importance` returned, in [0, 1].  The record checks
-    nothing: :func:`subspace_proximal` rejects a non-finite ``beta`` and
-    :func:`column_importance` a memory of the wrong length.
+    :func:`column_importance` returned, in [0, 1].  ``probe_blocks`` is the
+    :func:`residual_ratio` cache that every state of one chain of
+    applications shares, so each seeded probe block is drawn once per solve.
+    The record checks nothing: :func:`subspace_proximal` rejects a
+    non-finite ``beta`` and :func:`column_importance` a memory of the wrong
+    length.
     """
 
     beta: float
     memory_g: np.ndarray | None = None
+    probe_blocks: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -175,21 +179,24 @@ def column_importance(u, memory_g, mu: float) -> np.ndarray:
     return g
 
 
-def score_columns(u, seed) -> np.ndarray:
+def score_columns(u, seed, lift=None) -> np.ndarray:
     """Selection scores via a fixed seeded random projection.
 
     Each column is projected through a seeded Gaussian m x d matrix
     (m = min(d, 16)) and scored against a seeded query vector, so scores are
     deterministic per seed, linear in each column, and identical for
-    duplicate columns.
+    duplicate columns.  With ``lift`` (D x d, orthonormal columns) the
+    columns are coordinates of ``lift @ u`` and are scored as those D-row
+    columns would be: the m x D projection is drawn and its query row pulled
+    back through the lift, ``((q @ p) @ lift) @ u``.
     """
     a = _as_matrix(u)
-    d = a.shape[0]
+    d = a.shape[0] if lift is None else lift.shape[0]
     m = min(d, 16)
     rng = np.random.default_rng(seed)
     p = rng.standard_normal((m, d))
     q = rng.standard_normal(m)
-    scores = q @ (p @ a)
+    scores = q @ (p @ a) if lift is None else ((q @ p) @ lift) @ a
     _check_finite(scores, "a score")
     return scores
 
@@ -301,12 +308,15 @@ def orthonormal_subspace(u, omega: Selector, r: int, seed=0) -> SubspaceBasis:
     return SubspaceBasis(q, r - keep)
 
 
-def residual_ratio(u, q, g, probes: int, seed) -> float:
+def residual_ratio(u, q, g, probes: int, seed, cache: dict | None = None) -> float:
     """Probed fraction of importance-weighted energy outside span(q).
 
     A seeded Gaussian block of ``probes`` columns is scaled per column by the
     importances and pushed through the matrix; the ratio of the projected
-    residual to the total (plus 1e-12) lands in [0, 1).
+    residual to the total (plus 1e-12) lands in [0, 1).  The block depends on
+    the seed, the column count and ``probes`` only; a ``cache`` dict keeps
+    each block drawn under those three, and a later call finds it there
+    instead of drawing it again.
     """
     a = _as_matrix(u)
     q = np.asarray(q, dtype=float)
@@ -317,8 +327,12 @@ def residual_ratio(u, q, g, probes: int, seed) -> float:
         raise DimensionError("importances must have one entry per column")
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((a.shape[1], probes))
+    key = (tuple(np.atleast_1d(seed).tolist()), a.shape[1], probes)
+    xi = None if cache is None else cache.get(key)
+    if xi is None:
+        xi = np.random.default_rng(seed).standard_normal((a.shape[1], probes))
+        if cache is not None:
+            cache[key] = xi
     m = a @ (g[:, None] * xi)
     _check_finite(m, "the probe product")
     resid = m - q @ (q.T @ m)
@@ -375,21 +389,31 @@ def fusion_weights(rho_hats, nu: float) -> np.ndarray:
     return e / e.sum()
 
 
-def lrsp_apply(u, theta: float, config: LrspConfig, state: LrspState | None = None):
+def check_budget(config: LrspConfig, rows: int, cols: int) -> None:
+    """DimensionError unless the rank and column budget fit a rows x cols matrix."""
+    if config.kappa > cols:
+        raise DimensionError(f"column budget {config.kappa} exceeds {cols} columns")
+    if config.r > rows:
+        raise DimensionError(f"target rank {config.r} exceeds {rows} rows")
+
+
+def lrsp_apply(
+    u, theta: float, config: LrspConfig, state: LrspState | None = None, *, lift=None
+):
     """Run the full subspace proximal at threshold ``theta``: T inner steps plus fusion.
 
     ``state`` is what the previous application returned; None (the first
     application) starts the gate at ``config.beta1`` with no importance
-    memory.  Per inner step t: soft column selection at the scheduled
-    temperature, sketch orthonormalization (basis completion seeded by
-    ``[config.seed, 202, t]``), residual probing (seeded by
-    ``[config.seed, 101, t]``), the gated subspace shrinkage at the current
-    gate argument beta, and then the gate increment ``c_beta * (1 - rho)``
-    with rho the step's probed residual; the scores are seeded by
-    ``config.seed``.  With ``kappa`` equal to the column count the selection
-    is uniform over all columns (the soft pivot needs a left-out column),
-    which together with ``r = d`` and a saturated gate reproduces full
-    singular-value thresholding.
+    memory and an empty probe cache.  Per inner step t: soft column
+    selection at the scheduled temperature, sketch orthonormalization (basis
+    completion seeded by ``[config.seed, 202, t]``), residual probing (seeded
+    by ``[config.seed, 101, t]``, drawn once into the state's cache), the
+    gated subspace shrinkage at the current gate argument beta, and then the
+    gate increment ``c_beta * (1 - rho)`` with rho the step's probed
+    residual; the scores are seeded by ``config.seed``.  With ``kappa``
+    equal to the column count the selection is uniform over all columns (the
+    soft pivot needs a left-out column), which together with ``r = d`` and a
+    saturated gate reproduces full singular-value thresholding.
 
     Returns the proposals' sum weighted by :func:`fusion_weights` (formed in
     place; this is the package's only fusion), the advanced state, and
@@ -397,25 +421,35 @@ def lrsp_apply(u, theta: float, config: LrspConfig, state: LrspState | None = No
 
     Where the budget binds: a stage input of
     :func:`specrank.solver.unfold_solve` lies in span(phi^T), so its rank is
-    at most rank(phi), 3 for an RGB camera.  With ``r`` >= rank(phi) the
-    basis spans the input and every proposal is its gated exact SVT, so the
-    result equals ``(1 - a) u + a svt_full(u, theta)`` with ``a`` the
-    fusion-weighted sum of the gates ``sigmoid(beta_t)``; only ``r`` below
-    rank(phi) lets selection, QR, probing and fusion change a solver result.
+    at most k = rank(phi), 3 for an RGB camera.  With ``r`` >= k the basis
+    spans the input and every proposal is its gated exact SVT, so the result
+    equals ``(1 - a) u + a svt_full(u, theta)`` with ``a`` the
+    fusion-weighted sum of the gates ``sigmoid(beta_t)``; only ``r`` below k
+    lets selection, QR, probing and fusion change a solver result.  The
+    solver therefore passes ``u`` as its k x N coordinates in an orthonormal
+    basis ``lift`` (B x k) of span(phi^T) and keeps the result in those
+    coordinates: ``lift @ out`` is, up to rounding, what the B x N matrix
+    ``lift @ u`` gives.  The rank and budget are checked against the B rows
+    of the lift, then ``r`` is clipped to k (the basis of k x N coordinates
+    has at most k columns, so there is nothing to complete at ``r`` > k);
+    the scores are those of the B-row columns (:func:`score_columns`), and
+    column norms, pivots and probed residuals do not change under the lift.
     """
     t_start = time.perf_counter_ns()
     theta = _check_threshold(theta)
     a = _as_matrix(u)
     d, n = a.shape
-    if config.kappa > n:
-        raise DimensionError(f"column budget {config.kappa} exceeds {n} columns")
-    if config.r > d:
-        raise DimensionError(f"target rank {config.r} exceeds {d} rows")
+    if lift is not None:
+        lift = _as_matrix(lift)
+        if lift.shape[1] != d:
+            raise DimensionError(f"lift has {lift.shape[1]} columns but the matrix has {d} rows")
+    check_budget(config, d if lift is None else lift.shape[0], n)
+    r = min(config.r, d)
 
     if state is None:
         state = LrspState(beta=config.beta1)
     g = column_importance(a, state.memory_g, config.mu)
-    scores = score_columns(a, config.seed)
+    scores = score_columns(a, config.seed, lift)
     beta = float(state.beta)
     proposals = []
     records = []
@@ -427,8 +461,10 @@ def lrsp_apply(u, theta: float, config: LrspConfig, state: LrspState | None = No
         else:
             w = soft_topk(scores, config.kappa, tau)
         omega = build_selector(g, w, config.kappa)
-        basis = orthonormal_subspace(a, omega, config.r, seed=[config.seed, 202, t])
-        rho = residual_ratio(a, basis.q, g, config.probes, [config.seed, 101, t])
+        basis = orthonormal_subspace(a, omega, r, seed=[config.seed, 202, t])
+        rho = residual_ratio(
+            a, basis.q, g, config.probes, [config.seed, 101, t], state.probe_blocks
+        )
         proposals.append(subspace_proximal(a, basis.q, theta, beta))
         records.append((t, tau, beta, rho, basis.n_completed, time.perf_counter_ns() - t_step))
         beta += config.c_beta * (1.0 - rho)
@@ -453,5 +489,5 @@ def lrsp_apply(u, theta: float, config: LrspConfig, state: LrspState | None = No
         for rec, wt in zip(records, weights)
     )
     diag = LrspDiagnostics(steps=steps, total_elapsed_ns=time.perf_counter_ns() - t_start)
-    new_state = LrspState(beta=beta, memory_g=g)
+    new_state = LrspState(beta=beta, memory_g=g, probe_blocks=state.probe_blocks)
     return out, new_state, diag

@@ -1,15 +1,25 @@
 """Unfolded proximal-gradient loop for RGB-to-spectral reconstruction.
 
 Each stage takes a physics-guided gradient step of size eta_k on the data term
-and applies a nuclear-norm proximal with threshold lambda * eta_k to the B x N
+and applies a nuclear-norm proximal with threshold lambda * eta_k to the
 iterate: one ISTA step per stage on the composite objective.  A solve is exact
 exactly when ``SolverConfig.lrsp`` is None: that proximal is then
-singular-value thresholding from the B x B Gram matrix (:func:`svt_gram`).
+singular-value thresholding from the Gram matrix (:func:`svt_gram`).
 Otherwise every stage runs the budgeted operator of :mod:`specrank.lrsp`,
 configured by that :class:`LrspConfig` and threading its state from stage to
-stage.  The loop runs on plain matrices with one residual per stage: inputs are
-checked on entry, the iterate once per stage (a failure in stage k is a
-:class:`NumericError` naming it), and the cube is built on return.
+stage.
+
+Every iterate lies in span(phi^T), whose dimension k = rank(phi) is at most
+3, so the loop runs on k x N coordinates ``C`` in an orthonormal basis ``P``
+(B x k) of that span, the lift, and the cube ``P @ C`` is formed once, on
+return.  The coordinates solve the same problem with the 3 x k operator
+``A = phi @ P``: ``phi P C = A C``, ``SVT(P C) = P SVT(C)`` and
+``||P C||_* = ||C||_*``, so the answer is that of the B x N loop up to
+rounding.  The budgeted operator gets the lift too, to score the columns as
+B-row columns (:func:`specrank.lrsp.lrsp_apply`).  The loop runs on plain
+matrices with one residual per stage: inputs are checked on entry, the
+iterate once per stage (a failure in stage k is a :class:`NumericError`
+naming it), and the cube is built on return.
 """
 
 from __future__ import annotations
@@ -30,8 +40,13 @@ from .forward_model import (
     apply_phi_adjoint,
     spectral_norm_sq,
 )
-from .lrsp import LrspConfig, LrspDiagnostics, lrsp_apply
+from .lrsp import LrspConfig, LrspDiagnostics, check_budget, lrsp_apply
 from .svt import nuclear_norm, svt_gram
+
+# Singular values of phi at or below this fraction of the largest do not
+# count towards its rank: the cutoff of np.linalg.pinv, so the pseudoinverse
+# init in coordinates is that of phi.
+_RANK_RTOL = 1e-15
 
 
 class InitMode(enum.Enum):
@@ -117,7 +132,11 @@ def gradient_step(y: SpectralCube, op: ForwardOperator, x: RgbImage, eta: float)
 
 
 def initialize(x: RgbImage, op: ForwardOperator, mode: InitMode) -> SpectralCube:
-    """Starting cube: zeros, adjoint lift, or pseudoinverse lift."""
+    """Starting iterate: zeros, adjoint lift, or pseudoinverse lift of x.
+
+    :func:`unfold_solve` passes the coordinates' operator ``A = phi @ P``, so
+    its starting iterate is the k x N coordinates of that of phi.
+    """
     if mode is InitMode.ZEROS:
         return SpectralCube(np.zeros((op.bands, x.pixels)), x.h, x.w)
     if mode is InitMode.ADJOINT:
@@ -154,6 +173,19 @@ def synthesize(u: np.ndarray, h: int, w: int) -> SpectralCube:
     return SpectralCube(u, h, w)
 
 
+def row_space(op: ForwardOperator) -> tuple[np.ndarray, ForwardOperator]:
+    """The lift ``P`` (B x k, orthonormal columns spanning span(phi^T)) and
+    the coordinates' operator ``A = phi @ P`` (3 x k).
+
+    k is the numerical rank of phi, and at least 1: for an all-zero phi a
+    single direction stands in, along which every iterate stays zero.
+    """
+    _, s, vt = np.linalg.svd(op.phi, full_matrices=False)
+    k = max(int(np.count_nonzero(s > _RANK_RTOL * s[0])), 1)
+    p = vt[:k].T
+    return p, ForwardOperator(op.phi @ p)
+
+
 def _resolve_eta(config: SolverConfig, op: ForwardOperator) -> tuple[float, ...]:
     if isinstance(config.eta, str):
         sigma_sq = spectral_norm_sq(op)
@@ -170,18 +202,24 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     """Run the staged reconstruction; returns the final cube and its report.
 
     Both modes shrink by ``lam * eta_k``, so each stage descends the reported
-    objective (in subspace mode once ``r`` >= rank(phi)).  The iterate y and
-    its residual ``phi @ y - x`` stay plain arrays between the checks on entry
-    and the cube (fresh, read-only) built on return.  The objective's nuclear
-    norm, which raises on a NaN or infinite entry, is the only finiteness check
-    on the iterate.  A warning and ``report.diverged_stage`` mark divergence:
-    the iterate norm exceeding ten times the early-iterate scale, which a
-    too-large step size produces.
+    objective (in subspace mode once ``r`` >= rank(phi)).  The budget is
+    checked against the B bands and N pixels before any work.  The
+    coordinates c of the iterate and their residual ``A @ c - x`` stay plain
+    arrays between the checks on entry and the cube ``P @ c`` (fresh,
+    read-only) built on return.  The objective's nuclear norm, which raises
+    on a NaN or infinite entry, is the only finiteness check on the iterate.
+    A warning and ``report.diverged_stage`` mark divergence: the iterate norm
+    exceeding ten times the early-iterate scale, which a too-large step size
+    produces.
     """
     t_start = time.perf_counter_ns()
+    if config.lrsp is not None:
+        check_budget(config.lrsp, op.bands, x.pixels)
     etas = _resolve_eta(config, op)
-    y = initialize(x, op, config.init).data
-    r = op.phi @ y - x.data
+    lift, coords_op = row_space(op)
+    a = coords_op.phi
+    c = initialize(x, coords_op, config.init).data
+    r = a @ c - x.data
     state = None
 
     objectives = []
@@ -192,25 +230,23 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
     # Each stage result below is checked for finiteness and raised as a
     # NumericError, so numpy's overflow warnings would only add stderr lines.
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_trail = [float(np.linalg.norm(y))]
+        norm_trail = [float(np.linalg.norm(c))]
         for k in range(1, config.stages + 1):
             t_stage = time.perf_counter_ns()
             eta_k = etas[k - 1]
             theta_k = config.lam * eta_k
             try:
                 # gradient_step and objective() on one shared residual
-                u = y - eta_k * (op.phi.T @ r)
+                u = c - eta_k * (a.T @ r)
                 if config.lrsp is None:
                     t_prox = time.perf_counter_ns()
-                    y = svt_gram(u, theta_k)
+                    c = svt_gram(u, theta_k)
                     diag = LrspDiagnostics(steps=(), total_elapsed_ns=time.perf_counter_ns() - t_prox)
                 else:
-                    y, state, diag = lrsp_apply(u, theta_k, config.lrsp, state)
-                r = op.phi @ y - x.data
+                    c, state, diag = lrsp_apply(u, theta_k, config.lrsp, state, lift=lift)
+                r = a @ c - x.data
                 fid = 0.5 * float(np.linalg.norm(r) ** 2)
-                obj = fid + config.lam * nuclear_norm(y)
-            except DimensionError:
-                raise  # a budget or rank that does not fit the cube is a usage error
+                obj = fid + config.lam * nuclear_norm(c)
             except ValueError as e:
                 raise NumericError(f"stage {k}: {e}") from e
             if not np.isfinite(obj):
@@ -219,7 +255,7 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
             fidelities.append(fid)
             diags.append(diag)
             elapsed.append(time.perf_counter_ns() - t_stage)
-            norm_trail.append(float(np.linalg.norm(y)))
+            norm_trail.append(float(np.linalg.norm(c)))
             if diverged_stage is None and k >= 2:
                 baseline = max(norm_trail[0], norm_trail[1], 1e-30)
                 if norm_trail[-1] > 10.0 * baseline:
@@ -239,4 +275,4 @@ def unfold_solve(x: RgbImage, op: ForwardOperator, config: SolverConfig):
         total_elapsed_ns=time.perf_counter_ns() - t_start,
         diverged_stage=diverged_stage,
     )
-    return SpectralCube(y, x.h, x.w), report
+    return SpectralCube(lift @ c, x.h, x.w), report

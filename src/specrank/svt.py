@@ -5,14 +5,14 @@ recomposed.  The Gram-matrix kernels below and the budgeted operator in
 :mod:`specrank.lrsp` are tested against it.
 
 ``svt_gram`` and ``nuclear_norm`` compute the same quantities from the
-eigendecomposition of the k x k Gram matrix of the short side (k = 31 bands
-for the solver's iterates in exact mode, k = r for the r x n subspace
-coordinates that the budgeted operator shrinks), which costs two small GEMMs
-plus an ``eigh`` instead of an SVD of the whole matrix (Cai, Candes & Shen,
-SIAM J. Optim. 2010).  Forming the Gram matrix squares the singular values,
-so its eigenvalues carry round-off of about ``k * eps * lambda_max``; each
-function states the error this leaves and falls back to LAPACK where it is
-too large.
+eigendecomposition of the k x k Gram matrix of the short side (k = rank(phi),
+at most 3, for the solver's k x N coordinates of span(phi^T); k = r for the
+r x n subspace coordinates that the budgeted operator shrinks), which costs
+two small GEMMs plus an ``eigh`` instead of an SVD of the whole matrix (Cai,
+Candes & Shen, SIAM J. Optim. 2010).  Forming the Gram matrix squares the
+singular values, so its eigenvalues carry round-off of about
+``k * eps * lambda_max``; each function states the error this leaves and
+falls back to LAPACK where it is too large.
 """
 
 from __future__ import annotations

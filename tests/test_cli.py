@@ -2,11 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from _oracles import reference_solve
 
+import specrank.cli
 from specrank.cli import run
-from specrank.data_io import load_phi, read_cube, read_rgb, save_phi, write_rgb
-from specrank.forward_model import ForwardOperator, apply_phi
+from specrank.data_io import load_phi, read_cube, read_rgb, save_phi, write_cube, write_rgb
+from specrank.forward_model import ForwardOperator, SpectralCube, apply_phi
 from specrank.lrsp import LrspConfig
+from specrank.metrics import mse_map
 
 
 def _synth(tmp_path, name="scene", bands=12, size=16, rank=3, noise=0.0, seed=0):
@@ -199,6 +202,33 @@ def test_oversized_budget_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: usage: column budget 257 exceeds 256 columns\n"
     assert not out_p.exists()
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--rank", "32", "--kappa", "64"], "target rank 32 exceeds 31 rows"),
+        (["--rank", "4", "--kappa", "257"], "column budget 257 exceeds 256 columns"),
+    ],
+    ids=["rank-above-bands", "kappa-above-pixels"],
+)
+def test_rank_above_the_bands_or_budget_above_the_pixels_exits_2_before_any_svd(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    # checked against B and N, not against the rank of phi (3)
+    _, rgb_p, phi_p = _synth(tmp_path, bands=31, size=16, rank=4)
+    before = sorted(tmp_path.iterdir())
+
+    def no_svd(*args):
+        raise AssertionError("no SVD may run")
+
+    for name in ("spectral_norm_sq", "row_space"):
+        monkeypatch.setattr(f"specrank.solver.{name}", no_svd)
+    code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), *flags,
+                "--out", str(tmp_path / "o.hsc")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: usage: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -481,7 +511,9 @@ def test_reconstruct_frozen_final_objective_and_cube_norm(tmp_path, mode, object
 # synth --bands 31 --size 64 --rank 4 --seed 3 --noise 0.01.  They were frozen
 # from runs that fixed the subspace threshold by hand at lam * eta =
 # 7.52541018797723e-05 (eta = 1 / ||phi||_2^2), the threshold the solver now
-# derives at every stage.
+# derives at every stage, on the B x N cube.  The reference solve on the cube
+# still gives these bytes; reconstruct, which solves in the coordinates of
+# span(phi^T), matches it up to rounding.
 _LAM_ETA_DIGESTS = {
     "r8": (["--rank", "8", "--kappa", "64", "--inner-steps", "3"],
            "2c2852794bd8a0062298906240f286a373dcdb81543ff7d6511ce2fede463384"),
@@ -495,19 +527,50 @@ _LAM_ETA_DIGESTS = {
 
 
 @pytest.mark.parametrize("case", list(_LAM_ETA_DIGESTS))
-def test_reconstruct_subspace_outputs_equal_the_fixed_lam_eta_threshold_runs(tmp_path, case):
+def test_reconstruct_subspace_outputs_equal_the_fixed_lam_eta_threshold_runs(
+    tmp_path, monkeypatch, case
+):
     flags, digest = _LAM_ETA_DIGESTS[case]
     cube_p, rgb_p, phi_p = _synth(tmp_path, bands=31, size=64, rank=4, noise=0.01, seed=3)
     out_p, map_p, report_p = tmp_path / "o.hsc", tmp_path / "m.hsc", tmp_path / "r.csv"
+    solves = []
+
+    def recorded(x, op, config):
+        solves.append((x, op, config))
+        return real(x, op, config)
+
+    real = specrank.cli.unfold_solve
+    monkeypatch.setattr("specrank.cli.unfold_solve", recorded)
     code = run(["reconstruct", "--rgb", str(rgb_p), "--phi", str(phi_p), "--stages", "12",
                 "--lambda", "0.001", *flags, "--out", str(out_p), "--report", str(report_p),
                 "--mse-map", str(map_p), "--ref", str(cube_p)])
     assert code == 0
-    h = hashlib.sha256(out_p.read_bytes())
-    h.update(map_p.read_bytes())
-    for line in report_p.read_text().splitlines():
-        h.update(",".join(line.split(",")[:3]).encode() + b"\n")
+
+    # the reference solve of the same inputs, written as reconstruct writes
+    want_y, want_obj, want_fid, _, _ = reference_solve(*solves[0])
+    ref = read_cube(cube_p)
+    want_out_p, want_map_p = tmp_path / "want_o.hsc", tmp_path / "want_m.hsc"
+    write_cube(want_out_p, want_y)
+    write_cube(want_map_p, SpectralCube(mse_map(ref, want_y).reshape(1, -1), ref.h, ref.w))
+    h = hashlib.sha256(want_out_p.read_bytes())
+    h.update(want_map_p.read_bytes())
+    h.update(b"stage,objective,fidelity\n")
+    for k, (obj, fid) in enumerate(zip(want_obj, want_fid), start=1):
+        h.update(f"{k},{format(obj, '.17g')},{format(fid, '.17g')}\n".encode())
     assert h.hexdigest() == digest
+
+    # reconstruct's float32 cube and MSE map are within one float32 ulp of it
+    for got_p, want_p in ((out_p, want_out_p), (map_p, want_map_p)):
+        got = read_cube(got_p).data.astype(np.float32)
+        want = read_cube(want_p).data.astype(np.float32)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    # and its report columns within 1e-12 (each fidelity of its stage's objective)
+    rows = [line.split(",") for line in report_p.read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 13))
+    assert [float(row[1]) for row in rows] == pytest.approx(want_obj, rel=1e-12)
+    assert all(
+        abs(float(row[2]) - fid) <= 1e-12 * obj for row, obj, fid in zip(rows, want_obj, want_fid)
+    )
 
 
 class _Captured(Exception):

@@ -529,6 +529,76 @@ def test_lrsp_apply_validates_dimensions():
         lrsp_apply(np.ones((8, 8)), 0.5, cfg, LrspState(beta=0.5, memory_g=np.full(3, 0.5)))
 
 
+# -- coordinates in an orthonormal lift ---------------------------------------
+
+
+def _lifted(seed, d=12, k=3, n=40):
+    """An orthonormal d x k lift and k x n coordinates."""
+    rng = np.random.default_rng(seed)
+    lift, _ = np.linalg.qr(rng.standard_normal((d, k)))
+    return lift, rng.standard_normal((k, n))
+
+
+def test_score_columns_with_a_lift_scores_the_lifted_columns():
+    lift, c = _lifted(40)
+    want = score_columns(lift @ c, 6)
+    assert np.allclose(score_columns(c, 6, lift), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8])
+def test_lrsp_apply_on_coordinates_matches_the_lifted_matrix(r):
+    lift, c = _lifted(41)
+    cfg = _config(r=r, kappa=16, inner_steps=3, seed=4)
+    out, state, diag = lrsp_apply(c, 0.3, cfg, lift=lift)
+    want, want_state, want_diag = lrsp_apply(lift @ c, 0.3, cfg)
+    assert out.shape == c.shape
+    assert np.linalg.norm(lift @ out - want) <= 1e-12 * np.linalg.norm(want)
+    assert state.beta == pytest.approx(want_state.beta, abs=1e-12)
+    assert [s.rho_hat for s in diag.steps] == pytest.approx(
+        [s.rho_hat for s in want_diag.steps], abs=1e-12
+    )
+    # r is clipped to the 3 coordinates, so there is nothing to complete
+    assert [s.n_completed for s in diag.steps] == [0, 0, 0]
+    assert [s.n_completed for s in want_diag.steps] == [max(r - 3, 0)] * 3
+
+
+def test_lrsp_apply_checks_the_budget_against_the_lift_rows():
+    lift, c = _lifted(42, d=6, k=2, n=10)
+    out, _, _ = lrsp_apply(c, 0.5, _config(r=6, kappa=10), lift=lift)
+    assert out.shape == (2, 10)
+    with pytest.raises(DimensionError, match="^target rank 7 exceeds 6 rows$"):
+        lrsp_apply(c, 0.5, _config(r=7, kappa=10), lift=lift)
+    with pytest.raises(DimensionError, match="^column budget 11 exceeds 10 columns$"):
+        lrsp_apply(c, 0.5, _config(r=2, kappa=11), lift=lift)
+    with pytest.raises(DimensionError, match="^lift has 2 columns but the matrix has 3 rows$"):
+        lrsp_apply(np.ones((3, 10)), 0.5, _config(r=2, kappa=4), lift=lift)
+
+
+def test_residual_ratio_cache_keeps_each_block_it_draws():
+    rng = np.random.default_rng(43)
+    u = rng.standard_normal((6, 20))
+    q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+    g = rng.uniform(0.0, 1.0, 20)
+    cache = {}
+    first = residual_ratio(u, q, g, 4, [1, 101, 2], cache)
+    assert first == residual_ratio(u, q, g, 4, [1, 101, 2])
+    (block,) = cache.values()
+    assert residual_ratio(u, q, g, 4, [1, 101, 2], cache) == first
+    assert next(iter(cache.values())) is block
+    residual_ratio(u, q, g, 4, [1, 101, 3], cache)
+    residual_ratio(u, q, g, 5, [1, 101, 3], cache)
+    assert len(cache) == 3
+
+
+def test_lrsp_apply_states_of_one_chain_share_the_probe_cache():
+    rng = np.random.default_rng(44)
+    cfg = _config(r=3, kappa=6, inner_steps=2)
+    _, st1, _ = lrsp_apply(rng.standard_normal((7, 11)), 0.5, cfg)
+    assert len(st1.probe_blocks) == 2
+    _, st2, _ = lrsp_apply(rng.standard_normal((7, 11)), 0.5, cfg, st1)
+    assert st2.probe_blocks is st1.probe_blocks and len(st2.probe_blocks) == 2
+
+
 def _omega():
     return Selector(np.array([1, 4, 6]), np.array([0.3, 0.0, 0.2]))
 

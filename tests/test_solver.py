@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _oracles import reference_solve, untimed
 
 from specrank.data_io import SceneSpec, flat_illuminant, synth_css, synth_scene
 from specrank.errors import DimensionError, NumericError
@@ -256,9 +257,10 @@ def test_unfold_subspace_mode_runs_and_reports():
     assert all(len(d.steps) == 2 for d in report.lrsp)
     assert all(np.isfinite(o) for o in report.objectives)
     assert not report.diverged
-    # the report's columns are objective() and data_fidelity() bit for bit
-    assert report.objectives[-1] == objective(y, op, x, 0.01)
-    assert report.fidelities[-1] == data_fidelity(y, op, x)
+    # the report's columns are objective() and data_fidelity() of the cube,
+    # up to the rounding of the coordinates' lift
+    assert report.objectives[-1] == pytest.approx(objective(y, op, x, 0.01), rel=1e-12)
+    assert report.fidelities[-1] == pytest.approx(data_fidelity(y, op, x), rel=1e-12)
 
 
 def test_unfold_flags_divergence_for_oversized_steps():
@@ -338,11 +340,11 @@ def test_proximal_value_error_is_a_numeric_error_naming_the_stage(monkeypatch):
     calls = []
     real = specrank.solver.lrsp_apply
 
-    def fail_second(u, theta, config, state):
+    def fail_second(u, theta, config, state, **kwargs):
         calls.append(1)
         if len(calls) == 2:
             raise ValueError("matrix entries must be finite")
-        return real(u, theta, config, state)
+        return real(u, theta, config, state, **kwargs)
 
     monkeypatch.setattr("specrank.solver.lrsp_apply", fail_second)
     op, _, x = _problem(23)
@@ -359,32 +361,27 @@ def test_unfold_reduces_nuclear_norm_with_regularization():
     assert nuclear_norm(y.data) < nuclear_norm(y0.data)
 
 
-# -- the former stage loop, kept as the reference of unfold_solve -------------
+# -- the former stage loop on the B x N cube, kept as the reference ----------
 
 
-def _reference_solve(x, op, config):
-    """The stage loop as it was built on containers: gradient_step, proximal,
-    a SpectralCube per stage, then data_fidelity and nuclear_norm."""
-    etas = (1.0 / spectral_norm_sq(op),) * config.stages
-    y = initialize(x, op, config.init)
-    state = None
-    objectives, fidelities, diags = [], [], []
-    for k in range(config.stages):
-        u = gradient_step(y, op, x, etas[k]).data
-        if config.lrsp is None:
-            out, diag = svt_gram(u, config.lam * etas[k]), LrspDiagnostics((), 0)
-        else:
-            out, state, diag = lrsp_apply(u, config.lam * etas[k], config.lrsp, state)
-        y = SpectralCube(out, x.h, x.w)
-        fid = data_fidelity(y, op, x)
-        objectives.append(fid + config.lam * nuclear_norm(y.data))
-        fidelities.append(fid)
-        diags.append(diag)
-    return y, tuple(objectives), tuple(fidelities), etas, diags
-
-
-def _untimed(diag):
-    return [(s.t, s.tau, s.beta, s.rho_hat, s.weight, s.n_completed) for s in diag.steps]
+def _assert_matches_reference(y, report, reference, r=None, k=3):
+    """unfold_solve's cube and report against reference_solve's: cube and
+    objectives within 1e-12 (relative), each fidelity within 1e-12 of its
+    stage's objective, step sizes equal, and the untimed diagnostics equal up
+    to rounding, except that basis completion has at most k = rank(phi)
+    coordinates to fill."""
+    want_y, want_obj, want_fid, want_eta, want_diags = reference
+    assert np.linalg.norm(y.data - want_y.data) <= 1e-12 * np.linalg.norm(want_y.data)
+    assert report.objectives == pytest.approx(want_obj, rel=1e-12)
+    assert all(abs(f - w) <= 1e-12 * o for f, w, o in zip(report.fidelities, want_fid, want_obj))
+    assert report.eta == want_eta
+    assert len(report.lrsp) == len(want_diags)
+    for got, want in zip(report.lrsp, want_diags):
+        got, want = untimed(got), untimed(want)
+        assert [s[:2] for s in got] == [s[:2] for s in want]  # t and tau
+        assert np.allclose([s[2:5] for s in got], [s[2:5] for s in want], rtol=0.0, atol=1e-12)
+        # the B-space basis completes r - k directions outside span(phi^T)
+        assert [s[5] for s in got] == [max(s[5] - (r - min(r, k)), 0) for s in want]
 
 
 _REFERENCE_PROXIMALS = {
@@ -394,6 +391,8 @@ _REFERENCE_PROXIMALS = {
         r=2, kappa=32, probes=5, inner_steps=2, tau0=2.0, gamma=0.7,
         tau_min=0.2, beta1=0.8, c_beta=0.3, nu=5.0, mu=0.3, seed=7,
     ),
+    "subspace-r3": LrspConfig(r=3, kappa=16),
+    "subspace-r1": LrspConfig(r=1, kappa=8),
 }
 
 
@@ -401,17 +400,17 @@ _REFERENCE_PROXIMALS = {
 @pytest.mark.parametrize("init", list(InitMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("proximal", list(_REFERENCE_PROXIMALS))
 def test_unfold_solve_equals_the_container_loop_bit_for_bit(proximal, init, noise):
+    # The coordinate solve rounds differently from the container loop on the
+    # B x N cube, so "equal" is up to rounding: see _assert_matches_reference.
     scene = synth_scene(SceneSpec(b=31, h=16, w=16, rank=4, noise_sigma=noise, seed=3))
     op = make_phi(synth_css(31), flat_illuminant(31))
     x = apply_phi(op, scene)
-    config = SolverConfig(stages=12, lam=0.001, lrsp=_REFERENCE_PROXIMALS[proximal], init=init)
+    lrsp = _REFERENCE_PROXIMALS[proximal]
+    config = SolverConfig(stages=12, lam=0.001, lrsp=lrsp, init=init)
     y, report = unfold_solve(x, op, config)
-    want_y, want_obj, want_fid, want_eta, want_diags = _reference_solve(x, op, config)
-    assert np.array_equal(y.data, want_y.data)
-    assert report.objectives == want_obj
-    assert report.fidelities == want_fid
-    assert report.eta == want_eta
-    assert [_untimed(d) for d in report.lrsp] == [_untimed(d) for d in want_diags]
+    _assert_matches_reference(
+        y, report, reference_solve(x, op, config), r=None if lrsp is None else lrsp.r
+    )
 
 
 @pytest.mark.parametrize(
@@ -427,26 +426,30 @@ def test_unfold_solve_builds_two_containers_at_any_stage_count(monkeypatch, stag
 
 
 class _CountingPhi(np.ndarray):
-    """An operator matrix that counts the products taken with it and its transpose."""
+    """An operator matrix that counts the matrix products taken with it or with
+    an array derived from it: its views and transpose, and the factors that
+    np.linalg.svd wraps in its class, share the count."""
 
     def __array_finalize__(self, obj):
-        self.counts = getattr(obj, "counts", None)  # shared with the views, phi.T included
+        self.counts = getattr(obj, "counts", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul and isinstance(inputs[0], _CountingPhi):
-            self.counts["adjoint" if inputs[0].shape[0] > 3 else "forward"] += 1
+        if ufunc is np.matmul:
+            self.counts["products"] += 1
         plain = [np.asarray(a) if isinstance(a, _CountingPhi) else a for a in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
 @pytest.mark.parametrize("stages", [1, 12])
-def test_unfold_solve_applies_phi_once_per_stage_plus_once(stages):
+def test_unfold_solve_takes_two_band_space_products_at_any_stage_count(stages):
+    # A = phi @ P up front and the cube P @ C on return; every stage works on
+    # the k x N coordinates C alone
     op, _, x = _problem(25)
     counting = op.phi.view(_CountingPhi)
-    counting.counts = {"forward": 0, "adjoint": 0}
+    counting.counts = {"products": 0}
     object.__setattr__(op, "phi", counting)
     unfold_solve(x, op, SolverConfig(stages=stages, lam=0.01, init=InitMode.ZEROS))
-    assert counting.counts == {"forward": stages + 1, "adjoint": stages}
+    assert counting.counts == {"products": 2}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -459,9 +462,9 @@ def test_non_finite_proximal_output_is_a_numeric_error_naming_the_stage(
     real = getattr(specrank.solver, proximal)
     calls = []
 
-    def poison_second(u, *args):
+    def poison_second(u, *args, **kwargs):
         calls.append(1)
-        result = real(u, *args)
+        result = real(u, *args, **kwargs)
         out = result if proximal == "svt_gram" else result[0]
         if len(calls) == 2:
             out[1, 2] = bad
@@ -532,3 +535,64 @@ def test_unfold_solve_cube_lies_in_the_row_space_of_phi(r, init):
     p = vt[s > s[0] * 1e-12].T  # orthonormal basis of span(phi^T)
     outside = y.data - p @ (p.T @ y.data)
     assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(y.data)
+
+
+# -- the rank of phi -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("init", list(InitMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("r", [None, 1, 2, 8], ids=["exact", "r1", "r2", "r8"])
+def test_unfold_solve_with_a_zero_row_in_phi_matches_the_reference(r, init):
+    # rank(phi) = 2: the coordinates are 2 x N and r is clipped to 2
+    scene = synth_scene(SceneSpec(b=31, h=16, w=16, rank=4, noise_sigma=0.01, seed=3))
+    phi = make_phi(synth_css(31), flat_illuminant(31)).phi.copy()
+    phi[1] = 0.0
+    op = ForwardOperator(phi)
+    x = apply_phi(op, scene)
+    lrsp = None if r is None else LrspConfig(r=r, kappa=32)
+    config = SolverConfig(stages=12, lam=0.001, lrsp=lrsp, init=init)
+    y, report = unfold_solve(x, op, config)
+    _assert_matches_reference(y, report, reference_solve(x, op, config), r=r, k=2)
+
+
+@pytest.mark.parametrize("init", list(InitMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("lrsp", [None, LrspConfig(r=8, kappa=16)], ids=["exact", "subspace"])
+def test_unfold_solve_with_an_all_zero_phi_keeps_the_zero_cube_and_objective(lrsp, init):
+    # rank(phi) = 0; with an explicit step size the iterate stays zero and
+    # every objective is 0.5 ||x||^2, as on the B x N cube
+    op = ForwardOperator(np.zeros((3, 31)))
+    x = RgbImage(np.random.default_rng(29).uniform(0.0, 1.0, (3, 64)), 8, 8)
+    config = SolverConfig(stages=3, eta=0.5, lam=0.01, lrsp=lrsp, init=init)
+    y, report = unfold_solve(x, op, config)
+    want_y, want_obj, want_fid, _, _ = reference_solve(x, op, config)
+    assert np.array_equal(y.data, np.zeros((31, 64))) and np.array_equal(want_y.data, y.data)
+    assert report.objectives == want_obj == (0.5 * float(np.linalg.norm(x.data) ** 2),) * 3
+    assert report.fidelities == want_fid
+
+
+def test_subspace_solve_draws_each_probe_block_once_and_matches_the_uncached_draw(monkeypatch):
+    import specrank.lrsp
+
+    op, x = _camera_problem(0.01)
+    config = SolverConfig(stages=12, lam=0.001, lrsp=LrspConfig(r=8, kappa=64, inner_steps=3))
+    real = specrank.lrsp.residual_ratio
+    cache_sizes = []
+
+    def counted(u, q, g, probes, seed, cache=None):
+        cache_sizes.append(len(cache))
+        return real(u, q, g, probes, seed, cache)
+
+    monkeypatch.setattr("specrank.lrsp.residual_ratio", counted)
+    y, report = unfold_solve(x, op, config)
+    # one block per inner step, drawn in the first stage and reused by the rest
+    assert cache_sizes == [0, 1, 2] + [3] * 33
+
+    def uncached(u, q, g, probes, seed, cache=None):
+        return real(u, q, g, probes, seed)
+
+    monkeypatch.setattr("specrank.lrsp.residual_ratio", uncached)
+    want_y, want_report = unfold_solve(x, op, config)
+    assert y.data.tobytes() == want_y.data.tobytes()
+    assert report.objectives == want_report.objectives
+    assert report.fidelities == want_report.fidelities
+    assert [untimed(d) for d in report.lrsp] == [untimed(d) for d in want_report.lrsp]
